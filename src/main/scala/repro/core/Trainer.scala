@@ -2,9 +2,9 @@ package repro.core
 
 import scala.util.Random
 
+import breeze.linalg.DenseVector
+import breeze.optimize.{CachedDiffFunction, DiffFunction, LBFGS}
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.ml.classification.LogisticRegression
-import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.dom.{PageDoc, PageTree, XPaths}
@@ -19,8 +19,14 @@ import repro.util.FeatureHash
   * indices are excluded from negative sampling — they are likely unlabeled
   * members of the same value list (§4.1).
   *
-  * The model mirrors the paper's scikit-learn setup (LBFGS, L2, C=1) with
-  * Spark ML's multinomial LogisticRegression over hashed sparse features.
+  * The model mirrors the paper's scikit-learn setup: multinomial LR over
+  * hashed binary features, fitted locally with LBFGS and an L2 penalty.  The
+  * training sets are small (10^3–10^4 rows), so the fit runs on the driver
+  * with breeze's LBFGS over the features actually seen, not as one Spark job
+  * per iteration.  It minimises what Spark ML's multinomial
+  * `LogisticRegression` minimises with `standardization = false`: mean
+  * log-loss plus `0.5 * regParam * |W|^2`, intercepts unpenalised, starting
+  * from zero weights and centred log class priors.
   */
 object Trainer {
 
@@ -28,14 +34,20 @@ object Trainer {
 
   case class Example(label: String, features: Seq[String])
 
-  /** Serializable fitted model: softmax scorer over hashed features. */
+  /** Serializable fitted model: softmax scorer over hashed features.
+    * `iterations` and `finalLoss` are the LBFGS iteration count and the
+    * objective at the returned weights; a classifier built by hand has
+    * `finalLoss = NaN`.
+    */
   final class NodeClassifier(
       val labels: Vector[String],
       coef: Array[Array[Double]],  // labels.size x FeatureHash.Dim
       intercept: Array[Double],
+      val iterations: Int = 0,
+      val finalLoss: Double = Double.NaN,
   ) extends Serializable {
     def probabilities(features: Iterable[String]): Array[Double] = {
-      val (idx, _) = FeatureHash.encode(features)
+      val idx = FeatureHash.encode(features)
       val margins = Array.tabulate(labels.size) { k =>
         var s = intercept(k)
         val row = coef(k)
@@ -107,35 +119,98 @@ object Trainer {
     }
   }
 
-  /** Fit the multinomial LR and pull the coefficients back for broadcast. */
+  /** Fit the multinomial LR on the driver and scatter the weights back into
+    * the hashed feature space for broadcast.
+    *
+    * Hashing runs on the executors; the `(label, indices)` rows are then
+    * collected and put in a canonical order, so the fit does not depend on
+    * partitioning or on the order `collect()` returns rows in.  Features
+    * present in every row have zero variance; as in Spark ML they get no
+    * weight and the intercepts carry them.  With one class (no rows, or
+    * `OTHER` rows only) the all-zero model is the exact minimiser and is
+    * returned without optimisation.
+    */
   def train(
       examples: Dataset[Example],
       maxIter: Int = 40,
       regParam: Double = 1e-4,
   )(implicit spark: SparkSession): NodeClassifier = {
     import spark.implicits._
-    val labels = (examples.map(_.label).distinct().collect().toVector :+ OtherLabel).distinct.sorted
+    val rows = examples.map(ex => (ex.label, FeatureHash.encode(ex.features))).collect().sorted(rowOrder)
+    val labels = (rows.map(_._1).toVector :+ OtherLabel).distinct.sorted
+    if (labels.size == 1) new NodeClassifier(labels, Array.ofDim(1, FeatureHash.Dim), Array(0.0), 0, 0.0)
+    else fit(rows, labels, maxIter, regParam)
+  }
+
+  private val rowOrder: Ordering[(String, Array[Int])] = (a, b) => {
+    val c = a._1.compareTo(b._1)
+    if (c != 0) c else java.util.Arrays.compare(a._2, b._2)
+  }
+
+  private def fit(
+      rows: Array[(String, Array[Int])],
+      labels: Vector[String],
+      maxIter: Int,
+      regParam: Double,
+  ): NodeClassifier = {
+    val k  = labels.size
+    val n  = rows.length
+    val df = new Array[Int](FeatureHash.Dim)
+    rows.foreach(_._2.foreach(i => df(i) += 1))
+    val seen  = df.indices.filter(i => df(i) > 0 && df(i) < n).toArray
+    val local = Array.fill(FeatureHash.Dim)(-1)
+    seen.indices.foreach(j => local(seen(j)) = j)
     val labelIndex = labels.zipWithIndex.toMap
-    val labelIndexB = spark.sparkContext.broadcast(labelIndex)
-    // Training sets are small (10^3–10^5 rows); a few fat partitions keep the
-    // per-iteration scheduling cost of LBFGS negligible.
-    val rows = examples.map { ex =>
-      val (idx, vals) = FeatureHash.encode(ex.features)
-      (labelIndexB.value(ex.label).toDouble, Vectors.sparse(FeatureHash.Dim, idx, vals))
-    }.toDF("label", "features").coalesce(4).cache()
+    val f = seen.length
+    val y = rows.map(r => labelIndex(r._1))
+    val x = rows.map(r => r._2.map(i => local(i)).filter(_ >= 0) :+ f)
 
-    val lr = new LogisticRegression()
-      .setFamily("multinomial")
-      .setMaxIter(maxIter)
-      .setRegParam(regParam)
-      .setElasticNetParam(0.0) // pure L2, like the paper's scikit-learn setup
-      .setStandardization(false)
-    val model = lr.fit(rows)
-    rows.unpersist()
+    val init = new Array[Double]((f + 1) * k)
+    val logPriors = Array.tabulate(k)(c => math.log1p(y.count(_ == c).toDouble))
+    val meanPrior = logPriors.sum / k
+    (0 until k).foreach(c => init(f * k + c) = logPriors(c) - meanPrior)
 
-    val cm = model.coefficientMatrix
-    val coef = Array.ofDim[Double](labels.size, FeatureHash.Dim)
-    cm.foreachActive { case (r, c, v) => coef(r)(c) = v }
-    new NodeClassifier(labels, coef, model.interceptVector.toArray)
+    val lbfgs = new LBFGS[DenseVector[Double]](maxIter = maxIter, m = 10, tolerance = 1e-6)
+    val state = lbfgs.minimizeAndReturnState(
+      new CachedDiffFunction(new SoftmaxLoss(y, x, k, f, regParam)), DenseVector(init))
+    val theta = state.x.toArray
+    val coef  = Array.ofDim[Double](k, FeatureHash.Dim)
+    (0 until f).foreach(j => (0 until k).foreach(c => coef(c)(seen(j)) = theta(j * k + c)))
+    new NodeClassifier(labels, coef, theta.slice(f * k, (f + 1) * k), state.iter, state.value)
+  }
+
+  /** Mean multinomial log-loss plus `0.5 * reg * |W|^2` over binary sparse
+    * rows.  Parameters are laid out feature-major, `theta(j * k + c)` for
+    * feature `j` and class `c`.  Every row ends with the bias column `f`,
+    * whose `k` weights are the intercepts and are not penalised.
+    */
+  private final class SoftmaxLoss(y: Array[Int], x: Array[Array[Int]], k: Int, f: Int, reg: Double)
+      extends DiffFunction[DenseVector[Double]] {
+    def calculate(theta: DenseVector[Double]): (Double, DenseVector[Double]) = {
+      val w = theta.toArray
+      val g = new Array[Double](w.length)
+      val m = new Array[Double](k)
+      var loss = 0.0
+      for (i <- y.indices) {
+        val xi = x(i)
+        java.util.Arrays.fill(m, 0.0)
+        for (j <- xi) { var c = 0; while (c < k) { m(c) += w(j * k + c); c += 1 } }
+        val mx = m.max
+        val my = m(y(i))
+        var c = 0
+        while (c < k) { m(c) = math.exp(m(c) - mx); c += 1 }
+        val z = m.sum
+        loss += mx + math.log(z) - my
+        // m becomes the gradient of the row's loss in its margins: p - onehot(y).
+        c = 0
+        while (c < k) { m(c) /= z; c += 1 }
+        m(y(i)) -= 1.0
+        for (j <- xi) { c = 0; while (c < k) { g(j * k + c) += m(c); c += 1 } }
+      }
+      loss /= y.length
+      for (j <- g.indices) g(j) /= y.length
+      for (j <- 0 until f * k) { loss += 0.5 * reg * w(j) * w(j); g(j) += reg * w(j) }
+      (loss, DenseVector(g))
+    }
   }
 }

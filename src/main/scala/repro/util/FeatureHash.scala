@@ -19,12 +19,11 @@ object FeatureHash {
     math.floorMod(h, Dim)
   }
 
-  /** Binary sparse encoding: sorted distinct indices with value 1.0.
-    * Duplicate features (hash collisions within one node) collapse to a
-    * single active coordinate, which is what binary bag-of-features means.
+  /** Binary sparse encoding: the sorted distinct indices of the active
+    * coordinates, each with value 1.0.  Duplicate features (hash collisions
+    * within one node) collapse to a single active coordinate, which is what
+    * binary bag-of-features means.
     */
-  def encode(features: Iterable[String]): (Array[Int], Array[Double]) = {
-    val idx = features.iterator.map(indexOf).toArray.distinct.sorted
-    (idx, Array.fill(idx.length)(1.0))
-  }
+  def encode(features: Iterable[String]): Array[Int] =
+    features.iterator.map(indexOf).toArray.distinct.sorted
 }

@@ -86,4 +86,76 @@ class TrainerSpec extends SparkSpec {
     assert(model.labels.toSet ==
       Set("team", "height", "weight", RelationAnnot.NamePred, Trainer.OtherLabel))
   }
+
+  private def toy(n: Int): Seq[Trainer.Example] =
+    (1 to n).flatMap(i => Seq(
+      Trainer.Example("X", Seq("isx", s"noise$i")),
+      Trainer.Example("Y", Seq("isy", s"noise$i")),
+      Trainer.Example(Trainer.OtherLabel, Seq("iso", s"noise$i"))))
+
+  test("train reports LBFGS convergence data below the loss at the initial point") {
+    implicit val s = spark
+    val examples = toy(50)
+    val m = Trainer.train(spark.createDataset(examples), maxIter = 40)
+    // At the initial point the weights are zero and the intercepts are the
+    // centred log(1 + count) priors, so the loss is the prior's log-loss.
+    val counts  = examples.groupBy(_.label).view.mapValues(_.size + 1.0).toMap
+    val initial = -examples.map(e => math.log(counts(e.label) / counts.values.sum)).sum / examples.size
+    assert(m.iterations >= 1 && m.iterations <= 40, m.iterations)
+    assert(m.finalLoss.isFinite)
+    assert(m.finalLoss < initial, s"final=${m.finalLoss} initial=$initial")
+    val capped = Trainer.train(spark.createDataset(examples), maxIter = 3)
+    assert(capped.iterations <= 3)
+  }
+
+  test("train on an empty training set predicts OTHER without NaN") {
+    implicit val s = spark
+    val m = Trainer.train(spark.emptyDataset[Trainer.Example])
+    assert(m.labels == Vector(Trainer.OtherLabel))
+    assert(m.predict(Seq("anything")) == (Trainer.OtherLabel, 1.0))
+    assert(m.probabilities(Nil).sameElements(Array(1.0)))
+    assert(m.finalLoss == 0.0 && m.iterations == 0)
+  }
+
+  test("train on OTHER rows only predicts OTHER everywhere") {
+    implicit val s = spark
+    val m = Trainer.train(spark.createDataset(toy(5).filter(_.label == Trainer.OtherLabel)))
+    assert(m.labels == Vector(Trainer.OtherLabel))
+    Seq(Seq("iso"), Seq("isx"), Nil).foreach(f => assert(m.predict(f) == (Trainer.OtherLabel, 1.0)))
+    assert(m.finalLoss == 0.0)
+  }
+
+  test("train on one predicate plus OTHER separates the two") {
+    implicit val s = spark
+    val m = Trainer.train(spark.createDataset(toy(20).filter(_.label != "Y")))
+    assert(m.labels == Vector(Trainer.OtherLabel, "X"))
+    assert(m.predict(Seq("isx"))._1 == "X")
+    assert(m.predict(Seq("iso"))._1 == Trainer.OtherLabel)
+    assert(m.finalLoss.isFinite && m.iterations >= 1)
+    assert(m.probabilities(Seq("isx", "iso", "unseen")).forall(p => !p.isNaN))
+  }
+
+  test("the fit does not depend on partitioning") {
+    implicit val s = spark
+    val vd   = Verticals.nbaplayer(nSites = 1, pagesPerSite = 20, seed = 7)
+    val site = vd.sites.head
+    val pages = spark.createDataset(site.pages)
+    val kbB = spark.sparkContext.broadcast(vd.kb)
+    val topics = TopicId.identify(pages, kbB).collect().toVector
+    val (anns, _) = RelationAnnot.annotateFull(pages, topics, kbB)
+    val freq  = FeatureGen.frequentStrings(pages)
+    val freqB = spark.sparkContext.broadcast(freq)
+    val examples = Trainer.buildExamples(pages, anns, freqB)
+    val one   = Trainer.train(examples.repartition(1))
+    val eight = Trainer.train(examples.repartition(8))
+    assert(one.labels == eight.labels)
+    assert(one.iterations == eight.iterations && one.finalLoss == eight.finalLoss)
+    site.pages.foreach { p =>
+      val tree = new repro.dom.PageTree(p)
+      p.textNodes.foreach { n =>
+        val f = FeatureGen.nodeFeatures(tree, n.id, freq)
+        assert(one.probabilities(f).toSeq == eight.probabilities(f).toSeq, n.xpath)
+      }
+    }
+  }
 }

@@ -13,15 +13,13 @@ class FeatureHashSpec extends AnyFunSuite {
     assert(FeatureHash.indexOf("feature") == FeatureHash.indexOf("feature"))
   }
   test("encode produces sorted distinct indices") {
-    val (idx, vals) = FeatureHash.encode(Seq("a", "b", "c", "a"))
+    val idx = FeatureHash.encode(Seq("a", "b", "c", "a"))
     assert(idx.toSeq == idx.toSeq.sorted)
     assert(idx.distinct.length == idx.length)
-    assert(vals.forall(_ == 1.0))
-    assert(idx.length == vals.length)
+    assert(idx.toSet == Set("a", "b", "c").map(FeatureHash.indexOf))
   }
   test("encode of empty") {
-    val (idx, vals) = FeatureHash.encode(Nil)
-    assert(idx.isEmpty && vals.isEmpty)
+    assert(FeatureHash.encode(Nil).isEmpty)
   }
   test("collision rate is low for realistic feature sets") {
     val feats = (0 until 2000).map(i => s"a|$i|0|class|sec-$i")
