@@ -1,8 +1,7 @@
 package repro.core
 
-import repro.dom.{NodeRow, PageDoc}
+import repro.dom.PageDoc
 import repro.kb.KnowledgeBase
-import repro.util.Normalize
 
 /** Page-side entity matching: which text fields of a page match something
   * the KB knows (§3.1.1 Step 1).
@@ -14,17 +13,11 @@ object EntityMatch {
 
   /** All KB-known mentions on the page. */
   def mentions(page: PageDoc, kb: KnowledgeBase): Vector[Mention] =
-    page.textNodes.flatMap { n =>
-      val norm = Normalize(n.text)
-      if (norm.nonEmpty && kb.knownString(norm)) Some(Mention(n.id, n.xpath, norm, n.text))
-      else None
+    page.textNodes.collect {
+      case n if n.norm.nonEmpty && kb.knownString(n.norm) => Mention(n.id, n.xpath, n.norm, n.text)
     }
 
   /** The pageSet of Algorithm 1: normalised KB-known strings on the page. */
   def pageStrings(page: PageDoc, kb: KnowledgeBase): Set[String] =
     mentions(page, kb).iterator.map(_.norm).toSet
-
-  /** Mentions of a specific normalised value. */
-  def mentionsOf(page: PageDoc, normValue: String): Vector[NodeRow] =
-    page.textNodes.filter(n => Normalize(n.text) == normValue)
 }

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.dom.{PageDoc, PageTree, XPaths}
-import repro.util.Normalize
 
 /** Node features for the classifier (§4.2).
   *
@@ -36,7 +35,7 @@ object FeatureGen {
     val nPages = pages.count().toDouble
     if (nPages == 0) return Set.empty
     pages
-      .flatMap(p => p.textNodes.map(n => Normalize(n.text)).distinct)
+      .flatMap(p => p.textNodes.map(_.norm).distinct)
       .toDF("s")
       .groupBy("s")
       .count()
@@ -80,7 +79,7 @@ object FeatureGen {
       val lvl = i + 1
       tree.subtreeTexts(anc).foreach { tid =>
         if (tid != id) {
-          val t = Normalize(tree.node(tid).text)
+          val t = tree.node(tid).norm
           if (frequent.contains(t)) fs += s"t|$lvl|$t"
         }
       }

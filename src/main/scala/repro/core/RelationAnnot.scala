@@ -83,9 +83,7 @@ object RelationAnnot {
         else if (others.exists(o => tree.contains(parent, o))) stop = true
         else { anc = parent; cand = parent }
       }
-      val neighborCount = tree
-        .subtreeTexts(cand)
-        .count(t => objectNorms.contains(Normalize(tree.node(t).text)))
+      val neighborCount = tree.subtreeTexts(cand).count(t => objectNorms.contains(tree.node(t).norm))
       if (neighborCount > bestCount) { bestCount = neighborCount; best = Vector(m) }
       else if (neighborCount == bestCount) best = best :+ m
     }
@@ -106,13 +104,16 @@ object RelationAnnot {
         topics.get(p.pageId) match {
           case None => Iterator.empty
           case Some(topic) =>
-            val tree    = new PageTree(p)
-            val triples = kb.triplesOf.getOrElse(topic.entityId, Vector.empty)
-            val byPred  = triples.groupBy(_.predicate)
+            val tree = new PageTree(p)
+            // norm -> text-node ids, in document order.
+            val idsByNorm = p.textNodes.groupMap(_.norm)(_.id)
+            val triples   = kb.triplesOf.getOrElse(topic.entityId, Vector.empty)
+            val byPred    = triples.groupBy(_.predicate)
             byPred.iterator.flatMap { case (pred, ts) =>
-              val objectNorms = ts.map(t => Normalize(t.obj)).toSet
-              ts.map(t => (Normalize(t.obj), t.obj)).distinct.flatMap { case (norm, raw) =>
-                val ms = p.textNodes.filter(n => Normalize(n.text) == norm).map(_.id)
+              val objects     = ts.map(t => (Normalize(t.obj), t.obj)).distinct
+              val objectNorms = objects.map(_._1).toSet
+              objects.flatMap { case (norm, raw) =>
+                val ms = idsByNorm.getOrElse(norm, Vector.empty)
                 if (ms.isEmpty) None
                 else {
                   val best = bestLocalMentions(tree, ms, objectNorms)

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
 
-import repro.dom.PageDoc
+import repro.dom.{PageDoc, PageTree}
 import repro.kb.KnowledgeBase
 import repro.util.Normalize
 
@@ -14,7 +14,9 @@ import repro.util.Normalize
   * KB-known strings and the entity's object set (Eq. 1), and keep the top
   * few candidates with the XPaths of their mentions.
   *
-  * Global steps (DataFrame aggregations over the whole cluster):
+  * Global steps (plain Scala on the driver, over the collected candidates —
+  * at most five per page, so a Spark aggregation would cost more in planning
+  * and shuffles than it saves):
   *  1. uniqueness filter — an entity that is the best candidate of
   *     `maxTopicPages`+ pages is discarded (the "Help" problem, §3.1.2);
   *  2. dominant XPath — count how often each XPath carries a best candidate
@@ -37,7 +39,7 @@ object TopicId {
       score: Double,
   )
 
-  /** Internal: one scored topic candidate of one page. */
+  /** One scored topic candidate of one page; `rank` is 1 for the best. */
   case class TopicCand(
       site: String,
       pageId: String,
@@ -48,28 +50,67 @@ object TopicId {
       paths: Seq[String],
   )
 
+  /** Eq. 1: Jaccard similarity of the page's KB-known strings and the
+    * entity's object set.
+    */
+  private def jaccard(pageSet: Set[String], entityId: String, kb: KnowledgeBase): Double = {
+    val objs  = kb.objectsOf.getOrElse(entityId, Set.empty)
+    val inter = (pageSet & objs).size
+    val union = pageSet.size + objs.size - inter
+    if (union == 0) 0.0 else inter.toDouble / union
+  }
+
+  /** Can a text field with this normalised content name a topic? */
+  private def isCandidate(norm: String, kb: KnowledgeBase): Boolean =
+    !Normalize.lowInformation(norm) && !kb.frequentValues(norm)
+
   /** Jaccard-scored candidates of one page, best first (Alg. 1 lines 2–9). */
   def scoreEntities(page: PageDoc, kb: KnowledgeBase, topK: Int = 5): Vector[(String, Double, Vector[String])] = {
     val pageSet = EntityMatch.pageStrings(page, kb)
     val candidateMentions: Map[String, Vector[String]] = page.textNodes
       .flatMap { n =>
-        val norm = Normalize(n.text)
-        if (Normalize.lowInformation(n.text) || kb.frequentValues(norm)) Vector.empty
-        else kb.entitiesByName.getOrElse(norm, Set.empty).toVector.map(e => (e, n.xpath))
+        if (!isCandidate(n.norm, kb)) Vector.empty
+        else kb.entitiesByName.getOrElse(n.norm, Set.empty).toVector.map(e => (e, n.xpath))
       }
-      .groupBy(_._1)
-      .map { case (e, xs) => e -> xs.map(_._2) }
+      .groupMap(_._1)(_._2)
     candidateMentions.toVector
-      .map { case (e, paths) =>
-        val objs  = kb.objectsOf.getOrElse(e, Set.empty)
-        val inter = (pageSet & objs).size
-        val union = pageSet.size + objs.size - inter
-        (e, if (union == 0) 0.0 else inter.toDouble / union, paths)
-      }
+      .map { case (e, paths) => (e, jaccard(pageSet, e, kb), paths) }
       .filter(_._2 > 0)
       .sortBy { case (e, s, _) => (-s, e) }
       .take(topK)
   }
+
+  /** [[scoreEntities]] of one page as ranked [[TopicCand]]s. */
+  def candidates(page: PageDoc, kb: KnowledgeBase): Vector[TopicCand] =
+    scoreEntities(page, kb).zipWithIndex.map { case ((e, s, paths), i) =>
+      TopicCand(page.site, page.pageId, page.cluster, i + 1, e, s, paths)
+    }
+
+  /** Uniqueness filter: entities that are the best candidate of at least
+    * `maxTopicPages` pages.
+    */
+  def blockedEntities(cands: Seq[TopicCand], maxTopicPages: Int): Set[String] =
+    cands
+      .filter(_.rank == 1)
+      .groupMapReduce(_.entityId)(_ => 1)(_ + _)
+      .collect { case (e, n) if n >= maxTopicPages => e }
+      .toSet
+
+  /** Dominant-XPath ranking: the best unblocked candidate of each
+    * (site, page) votes for each of its mention paths; paths are ranked by
+    * votes descending, then path ascending, and the first `topPaths` are
+    * returned with their vote counts.
+    */
+  def rankPaths(cands: Seq[TopicCand], blocked: Set[String], topPaths: Int): Vector[(String, Int)] =
+    cands
+      .filterNot(c => blocked(c.entityId))
+      .groupBy(c => (c.site, c.pageId))
+      .values
+      .flatMap(_.minBy(_.rank).paths)
+      .groupMapReduce(identity)(_ => 1)(_ + _)
+      .toVector
+      .sortBy { case (path, n) => (-n, path) }
+      .take(topPaths)
 
   def identify(
       pages: Dataset[PageDoc],
@@ -79,80 +120,39 @@ object TopicId {
   )(implicit spark: SparkSession): Dataset[PageTopic] = {
     import spark.implicits._
 
-    // ---- local candidate scoring (per partition) ------------------------
-    val cands: Dataset[TopicCand] = pages
+    // ---- local candidate scoring (per partition), collected in one job --
+    val cands: Vector[TopicCand] = pages
       .mapPartitions { it =>
         val kb = kbB.value
-        it.flatMap { p =>
-          scoreEntities(p, kb).zipWithIndex.map { case ((e, s, paths), i) =>
-            TopicCand(p.site, p.pageId, p.cluster, i + 1, e, s, paths)
-          }
-        }
+        it.flatMap(candidates(_, kb))
       }
-      .cache()
-
-    // ---- global uniqueness filter ---------------------------------------
-    val blocked: Set[String] = cands
-      .filter(_.rank == 1)
-      .groupBy("entityId")
-      .count()
-      .filter($"count" >= maxTopicPages)
-      .select("entityId")
-      .as[String]
-      .collect()
-      .toSet
-    val blockedB = spark.sparkContext.broadcast(blocked)
-
-    // ---- dominant-XPath ranking -----------------------------------------
-    val bestPerPage = cands
-      .filter(c => !blockedB.value(c.entityId))
-      .groupByKey(_.pageId)
-      .mapGroups((_, it) => it.minBy(_.rank))
-    val ranked: Vector[String] = bestPerPage
-      .flatMap(_.paths)
-      .toDF("path")
-      .groupBy("path")
-      .count()
-      .orderBy($"count".desc, $"path")
-      .limit(topPaths)
-      .select("path")
-      .as[String]
       .collect()
       .toVector
-    val rankedB = spark.sparkContext.broadcast(ranked)
-    cands.unpersist()
+
+    // ---- global steps on the driver -------------------------------------
+    val blocked = blockedEntities(cands, maxTopicPages)
+    val ranked  = rankPaths(cands, blocked, topPaths).map(_._1)
 
     // ---- final per-page assignment --------------------------------------
     pages.mapPartitions { it =>
-      val kb      = kbB.value
-      val rankedP = rankedB.value
-      val blockedSet = blockedB.value
+      val kb = kbB.value
       it.flatMap { p =>
-        val tree    = new repro.dom.PageTree(p)
-        val pathOpt = rankedP.find(tree.contains)
-        pathOpt.flatMap { path =>
-          tree.nodeAt(path).flatMap { node =>
-            val norm = Normalize(node.text)
-            if (Normalize.lowInformation(node.text) || kb.frequentValues(norm)) None
-            else {
-              val pageSet = EntityMatch.pageStrings(p, kb)
-              val scored = kb.entitiesByName
-                .getOrElse(norm, Set.empty)
-                .filterNot(blockedSet)
-                .toVector
-                .map { e =>
-                  val objs  = kb.objectsOf.getOrElse(e, Set.empty)
-                  val inter = (pageSet & objs).size
-                  val union = pageSet.size + objs.size - inter
-                  (e, if (union == 0) 0.0 else inter.toDouble / union)
-                }
-                .filter(_._2 > 0)
-              scored.sortBy { case (e, s) => (-s, e) }.headOption.map { case (e, s) =>
-                PageTopic(p.site, p.pageId, p.cluster, e, kb.nameOf(e), path, s)
-              }
-            }
-          }
-        }.iterator
+        val tree = new PageTree(p)
+        val chosen = for {
+          path <- ranked.find(tree.contains)
+          node <- tree.nodeAt(path)
+          if isCandidate(node.norm, kb)
+          pageSet = EntityMatch.pageStrings(p, kb)
+          (e, s) <- kb.entitiesByName
+            .getOrElse(node.norm, Set.empty)
+            .filterNot(blocked)
+            .toVector
+            .map(e => (e, jaccard(pageSet, e, kb)))
+            .filter(_._2 > 0)
+            .sortBy { case (e, s) => (-s, e) }
+            .headOption
+        } yield PageTopic(p.site, p.pageId, p.cluster, e, kb.nameOf(e), path, s)
+        chosen.iterator
       }
     }
   }

@@ -1,11 +1,16 @@
 package repro.dom
 
+import repro.util.Normalize
+
 /** One flattened DOM node of a page: the unit the classifier labels (§4).
   *
   * `xpath` is the absolute XPath (1-based index among same-tag siblings),
   * which uniquely identifies the node on its page (§2.1).  `parent` is the
   * id of the parent row (-1 for the root) so [[PageTree]] can rebuild the
-  * tree for ancestor/sibling navigation without re-parsing.
+  * tree for ancestor/sibling navigation without re-parsing.  `norm` is
+  * [[repro.util.Normalize]] of `text`, computed once when the page is
+  * flattened; every KB lookup and string feature reads it instead of
+  * normalising `text` again.
   */
 case class NodeRow(
     id: Int,
@@ -15,6 +20,7 @@ case class NodeRow(
     attrs: Map[String, String],
     text: String,
     xpath: String,
+    norm: String,
 )
 
 /** A detail page as carried through the Spark pipeline: a `Dataset[PageDoc]`
@@ -41,7 +47,7 @@ object PageDoc {
     def walk(n: DomNode, parent: Int, depth: Int, path: String): Unit = {
       val id = nextId
       nextId += 1
-      rows += NodeRow(id, parent, depth, n.tag, n.attrs, n.text, path)
+      rows += NodeRow(id, parent, depth, n.tag, n.attrs, n.text, path, Normalize(n.text))
       val tagCount = collection.mutable.Map.empty[String, Int]
       n.children.foreach { c =>
         val k = tagCount.getOrElse(c.tag, 0) + 1

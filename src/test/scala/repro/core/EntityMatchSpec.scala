@@ -33,10 +33,4 @@ class EntityMatchSpec extends AnyFunSuite {
   test("pageStrings is the normalised set") {
     assert(EntityMatch.pageStrings(page, kb) == Set("crimson harbor", "ann smith", "drama"))
   }
-  test("mentionsOf finds all nodes with a value") {
-    assert(EntityMatch.mentionsOf(page, "ann smith").size == 2)
-  }
-  test("mentionsOf empty for unknown value") {
-    assert(EntityMatch.mentionsOf(page, "nothing here").isEmpty)
-  }
 }

@@ -53,6 +53,30 @@ class TopicIdSpec extends SparkSpec {
     val out = TopicId.identify(spark.createDataset(site.pages), kbB).collect()
     assert(!out.exists(_.entityId == "junk"))
   }
+  private def cand(site: String, rank: Int, entityId: String, paths: String*) =
+    TopicId.TopicCand(site, "p0", 0, rank, entityId, 1.0 / rank, paths)
+
+  test("rankPaths counts the best candidate of each site's p0") {
+    val cands = Vector(
+      cand("a", 1, "e1", "/h1[1]"), cand("a", 2, "e2", "/h2[1]"),
+      cand("b", 1, "e3", "/h3[1]"), cand("b", 2, "e4", "/h1[1]"))
+    assert(TopicId.rankPaths(cands, Set.empty, 10) == Vector("/h1[1]" -> 1, "/h3[1]" -> 1))
+  }
+  test("rankPaths skips blocked entities, orders by count then path, and keeps topPaths") {
+    val cands = Vector(
+      cand("a", 1, "e1", "/x[1]", "/h1[1]"), cand("a", 2, "e2", "/h2[1]"),
+      cand("b", 1, "e3", "/h1[1]"), cand("c", 1, "e3", "/h2[1]"))
+    assert(TopicId.rankPaths(cands, Set.empty, 10) == Vector("/h1[1]" -> 2, "/h2[1]" -> 1, "/x[1]" -> 1))
+    assert(TopicId.rankPaths(cands, Set.empty, 2) == Vector("/h1[1]" -> 2, "/h2[1]" -> 1))
+    assert(TopicId.rankPaths(cands, Set("e1"), 10) == Vector("/h2[1]" -> 2, "/h1[1]" -> 1))
+  }
+  test("blockedEntities counts rank-1 candidates across sites") {
+    val cands = Vector(
+      cand("a", 1, "e1", "/h1[1]"), cand("b", 1, "e1", "/h1[1]"),
+      cand("c", 2, "e1", "/h1[1]"), cand("c", 1, "e2", "/h1[1]"))
+    assert(TopicId.blockedEntities(cands, 2) == Set("e1"))
+    assert(TopicId.blockedEntities(cands, 3).isEmpty)
+  }
   test("empty page set yields empty topics") {
     implicit val s = spark
     val kbB = spark.sparkContext.broadcast(vd.kb)

@@ -1,8 +1,10 @@
 package repro.dom
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.dom.DomNode.{el, txt}
+import repro.util.Normalize
 
 class PageDocSpec extends AnyFunSuite {
 
@@ -45,5 +47,33 @@ class PageDocSpec extends AnyFunSuite {
       val p = doc.nodes(n.parent)
       assert(n.xpath.startsWith(p.xpath + "/"))
     }
+  }
+
+  // Random pages: few tags, so same-tag siblings are common; text leaves
+  // carry mixed-case, accented and punctuated strings, or nothing.
+  private val text: Gen[String] = Gen.frequency(
+    2 -> Gen.const(""),
+    3 -> Gen.listOf(Gen.oneOf("Ab1 -.,é ØÆ ß\t".toSeq)).map(_.mkString),
+  )
+  private def node(depth: Int): Gen[DomNode] = for {
+    tag  <- Gen.oneOf("div", "span", "li", "ul")
+    n    <- if (depth >= 4) Gen.const(0) else Gen.choose(0, 4)
+    kids <- Gen.listOfN(n, node(depth + 1))
+    t    <- if (kids.isEmpty) text else Gen.const("")
+  } yield DomNode(tag, text = t, children = kids.toVector)
+  private val pages: Gen[PageDoc] = node(1).map(body => PageDoc.fromTree("s", "p", el("html", body)))
+
+  private def check(prop: Prop): Unit =
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop).passed)
+
+  test("property: every node's norm is Normalize(text)") {
+    check(Prop.forAll(pages)(p => p.nodes.forall(n => n.norm == Normalize(n.text))))
+  }
+  test("property: xpaths are unique and resolve back to their node") {
+    check(Prop.forAll(pages) { p =>
+      val tree = new PageTree(p)
+      p.nodes.map(_.xpath).distinct.size == p.nodes.size &&
+        p.nodes.forall(n => tree.nodeAt(n.xpath).contains(n))
+    })
   }
 }

@@ -1,5 +1,6 @@
 package repro.util
 
+import org.scalacheck.{Arbitrary, Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
 class NormalizeSpec extends AnyFunSuite {
@@ -24,4 +25,24 @@ class NormalizeSpec extends AnyFunSuite {
   test("lowInformation: number with spaces") { assert(Normalize.lowInformation("6-7")) }
   test("lowInformation: names pass") { assert(!Normalize.lowInformation("Spike Lee")) }
   test("lowInformation: titles pass") { assert(!Normalize.lowInformation("Do the Right Thing")) }
+
+  /** Page-like text: letters and digits mixed with the characters each
+    * normalisation step rewrites (accents, combining marks, letters NFD
+    * cannot fold, punctuation, runs of whitespace), plus any other char.
+    */
+  private val text: Gen[String] = {
+    val special = Gen.oneOf("áÉñüÅ\u0301\u0308øØæÐþłßİı'.,-!:/ \t\n\u00a0".toSeq)
+    val char    = Gen.frequency(5 -> Gen.alphaNumChar, 3 -> special, 1 -> Arbitrary.arbitrary[Char])
+    Gen.choose(0, 20).flatMap(n => Gen.listOfN(n, char).map(_.mkString))
+  }
+
+  private def check(prop: Prop): Unit =
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop).passed)
+
+  test("property: idempotent") {
+    check(Prop.forAll(text)(s => Normalize(Normalize(s)) == Normalize(s)))
+  }
+  test("property: lowInformation is unchanged by normalising first") {
+    check(Prop.forAll(text)(s => Normalize.lowInformation(Normalize(s)) == Normalize.lowInformation(s)))
+  }
 }
