@@ -35,7 +35,7 @@ class Table4SwdePredicateBench extends SparkSpec {
     val bookPreds = full.keys.filter(_._1 == "book").toVector
     assert(bookPreds.nonEmpty)
     val all = bookPreds.map(full)
-    val agg = repro.core.Metrics.PRF("book", all.map(_.tp).sum, all.map(_.fp).sum, all.map(_.fn).sum)
+    val agg = repro.core.Metrics.total("book", all)
     assert(agg.p > 0.7, s"book precision=${agg.p}")
     assert(agg.r < agg.p, s"book recall ${agg.r} should trail precision ${agg.p}")
   }

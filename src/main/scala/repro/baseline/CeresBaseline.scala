@@ -2,7 +2,6 @@ package repro.baseline
 
 import scala.util.Random
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.core.{EntityMatch, Extractor, FeatureGen, Trainer}
@@ -16,19 +15,17 @@ import repro.kb.KnowledgeBase
   *
   * The paper reports this baseline ran out of 32 GB of memory on the Movie
   * vertical because of the quadratic pair blow-up; we bound the damage with
-  * explicit per-page caps (`subjectCap` x `objectCap` candidate pairs) and
+  * explicit per-page caps (`SubjectCap` x `ObjectCap` candidate pairs) and
   * report the caps in EXPERIMENTS.md.  Quality-wise, the caps only help the
   * baseline, so the comparison remains fair in the paper's direction.
   */
 object CeresBaseline {
 
-  case class Config(
-      threshold: Double = 0.5,
-      negRatio: Int = 3,
-      subjectCap: Int = 40,
-      objectCap: Int = 80,
-      seed: Long = 19,
-  )
+  private val Threshold  = 0.5
+  private val NegRatio   = 3
+  private val SubjectCap = 40
+  private val ObjectCap  = 80
+  private val Seed       = 19L
 
   private def pairFeatures(tree: PageTree, s: Int, o: Int, freq: Set[String]): Vector[String] =
     FeatureGen.nodeFeatures(tree, s, freq).map("S|" + _) ++
@@ -38,13 +35,11 @@ object CeresBaseline {
       pages: Dataset[PageDoc],
       trainIds: Set[String],
       kb: KnowledgeBase,
-      cfg: Config = Config(),
   )(implicit spark: SparkSession): Vector[Extractor.Extraction] = {
     import spark.implicits._
     val kbB = spark.sparkContext.broadcast(kb)
-    val trainIdsB = spark.sparkContext.broadcast(trainIds)
     val trainPages =
-      (if (trainIds.isEmpty) pages else pages.filter(p => trainIdsB.value.contains(p.pageId))).cache()
+      (if (trainIds.isEmpty) pages else pages.filter(p => trainIds.contains(p.pageId))).cache()
 
     val freq  = FeatureGen.frequentStrings(trainPages)
     val freqB = spark.sparkContext.broadcast(freq)
@@ -56,8 +51,8 @@ object CeresBaseline {
       it.flatMap { p =>
         val tree     = new PageTree(p)
         val mentions = EntityMatch.mentions(p, kbL)
-        val subjectMentions = mentions.filter(m => kbL.entitiesByName.contains(m.norm)).take(cfg.subjectCap)
-        val objectMentions  = mentions.take(cfg.objectCap)
+        val subjectMentions = mentions.filter(m => kbL.entitiesByName.contains(m.norm)).take(SubjectCap)
+        val objectMentions  = mentions.take(ObjectCap)
         val positives = for {
           s <- subjectMentions
           e <- kbL.entitiesByName(s.norm).toVector.sorted
@@ -66,11 +61,11 @@ object CeresBaseline {
           if o.nodeId != s.nodeId
           t <- objsByNorm.getOrElse(o.norm, Vector.empty).map(_.predicate).distinct
         } yield Trainer.Example(t, pairFeatures(tree, s.nodeId, o.nodeId, fr))
-        val rng   = new Random(cfg.seed ^ p.pageId.hashCode.toLong)
+        val rng   = new Random(Seed ^ p.pageId.hashCode.toLong)
         val texts = p.textNodes
         val negs =
           if (texts.size < 2) Vector.empty
-          else Vector.fill(cfg.negRatio * positives.size) {
+          else Vector.fill(NegRatio * positives.size) {
             val a = texts(rng.nextInt(texts.size))
             val b = texts(rng.nextInt(texts.size))
             Trainer.Example(Trainer.OtherLabel, pairFeatures(tree, a.id, b.id, fr))
@@ -79,7 +74,6 @@ object CeresBaseline {
       }
     }
 
-    if (examples.filter(_.label != Trainer.OtherLabel).isEmpty) return Vector.empty
     val model  = Trainer.train(examples)
     val modelB = spark.sparkContext.broadcast(model)
 
@@ -91,14 +85,14 @@ object CeresBaseline {
       it.flatMap { p =>
         val tree     = new PageTree(p)
         val mentions = EntityMatch.mentions(p, kbL)
-        val subjects = mentions.filter(x => kbL.entitiesByName.contains(x.norm)).take(cfg.subjectCap)
-        val objects  = mentions.take(cfg.objectCap)
+        val subjects = mentions.filter(x => kbL.entitiesByName.contains(x.norm)).take(SubjectCap)
+        val objects  = mentions.take(ObjectCap)
         for {
           s <- subjects.iterator
           o <- objects.iterator
           if o.nodeId != s.nodeId
           (label, prob) = m.predict(pairFeatures(tree, s.nodeId, o.nodeId, fr))
-          if label != Trainer.OtherLabel && prob >= cfg.threshold
+          if label != Trainer.OtherLabel && prob >= Threshold
         } yield Extractor.Extraction(p.site, p.pageId, p.cluster, tree.node(o.nodeId).xpath,
           label, tree.node(o.nodeId).text, tree.node(s.nodeId).text, prob)
       }

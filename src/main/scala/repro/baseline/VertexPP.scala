@@ -10,38 +10,36 @@ import repro.web.TruthFact
   * manually annotated pages ("Vertex++ required two pages per site").
   *
   * The manual annotations are simulated with the renderer's ground truth on
-  * `nTrainPages` pages.  Because the labels are complete and exact, every
+  * `TrainPages` pages.  Because the labels are complete and exact, every
   * other text node of those pages is a guaranteed negative, so the same
   * feature set + multinomial LR learns near-perfect wrappers — the paper's
   * point that annotation-based approaches are an upper bound on quality.
   */
 object VertexPP {
 
+  /** Manually annotated pages per site (§5.2). */
+  val TrainPages = 2
+
   def run(
       pages: Dataset[PageDoc],
       truth: Vector[TruthFact],
       namePred: String,
-      nTrainPages: Int = 2,
-      threshold: Double = 0.5,
   )(implicit spark: SparkSession): Vector[Extractor.Extraction] = {
     import spark.implicits._
-    val trainIds = pages.map(_.pageId).collect().sorted.take(nTrainPages).toSet
-    val trainIdsB = spark.sparkContext.broadcast(trainIds)
-    val trainPages = pages.filter(p => trainIdsB.value.contains(p.pageId))
+    val trainIds = pages.map(_.pageId).collect().sorted.take(TrainPages).toSet
+    val trainPages = pages.filter(p => trainIds.contains(p.pageId))
 
     val freq  = FeatureGen.frequentStrings(pages)
     val freqB = spark.sparkContext.broadcast(freq)
 
     val truthByPage = truth.filter(t => trainIds.contains(t.pageId)).groupBy(_.pageId)
-    val truthB = spark.sparkContext.broadcast(truthByPage)
-    val namePredB = spark.sparkContext.broadcast(namePred)
 
     val examples = trainPages.flatMap { p =>
       val tree  = new PageTree(p)
       val fr    = freqB.value
-      val facts = truthB.value.getOrElse(p.pageId, Vector.empty)
+      val facts = truthByPage.getOrElse(p.pageId, Vector.empty)
       val labeled = facts.groupBy(_.xpath).map { case (x, fs) =>
-        x -> fs.map(f => if (f.predicate == namePredB.value) RelationAnnot.NamePred else f.predicate).distinct
+        x -> fs.map(f => if (f.predicate == namePred) RelationAnnot.NamePred else f.predicate).distinct
       }
       p.textNodes.flatMap { n =>
         labeled.get(n.xpath) match {
@@ -53,6 +51,6 @@ object VertexPP {
 
     val model  = Trainer.train(examples)
     val modelB = spark.sparkContext.broadcast(model)
-    Extractor.extract(pages, modelB, freqB, threshold).collect().toVector
+    Extractor.extract(pages, modelB, freqB).collect().toVector
   }
 }

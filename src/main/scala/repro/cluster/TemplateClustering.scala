@@ -56,7 +56,6 @@ object TemplateClustering {
       .sortBy(_._1) // deterministic leader order
       .map { case (pid, s) => (pid, s.toSet) }
     val mapping = clusterSignatures(sigs, threshold)
-    val bc = spark.sparkContext.broadcast(mapping)
-    pages.map(p => p.copy(cluster = bc.value(p.pageId)))
+    pages.map(p => p.copy(cluster = mapping(p.pageId)))
   }
 }

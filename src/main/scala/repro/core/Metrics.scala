@@ -20,6 +20,13 @@ object Metrics {
     def f1: Double = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
   }
 
+  /** `prfs` rolled up under `label`: their tp, fp and fn summed. */
+  def total(label: String, prfs: Iterable[PRF]): PRF =
+    PRF(label, prfs.map(_.tp).sum, prfs.map(_.fp).sum, prfs.map(_.fn).sum)
+
+  /** Per-predicate PRFs plus their "ALL" roll-up. */
+  def withAll(per: Map[String, PRF]): Map[String, PRF] = per + ("ALL" -> total("ALL", per.values))
+
   /** Rename the reserved name-class to the page's real name predicate. */
   def resolvePred(pred: String, pageId: String, namePredOf: String => String): String =
     if (pred == RelationAnnot.NamePred) namePredOf(pageId) else pred
@@ -50,10 +57,9 @@ object Metrics {
     val extractedSet = extracted.toSet
     val fnByPred = truthSet.toVector.filterNot(extractedSet).groupBy(_._2).view.mapValues(_.size.toLong).toMap
     val preds = (tpByPred.keySet ++ fpByPred.keySet ++ fnByPred.keySet).toVector.sorted
-    val per = preds.map { p =>
+    withAll(preds.map { p =>
       p -> PRF(p, tpByPred.getOrElse(p, 0L), fpByPred.getOrElse(p, 0L), fnByPred.getOrElse(p, 0L))
-    }.toMap
-    per + ("ALL" -> PRF("ALL", per.values.map(_.tp).sum, per.values.map(_.fp).sum, per.values.map(_.fn).sum))
+    }.toMap)
   }
 
   /** Page-hit P/R/F1 (Hao et al. protocol used for Table 3): one prediction
@@ -74,13 +80,12 @@ object Metrics {
       .toVector
     val truthPages = truthSet.groupBy(_._2).view.mapValues(_.map(_._1)).toMap
     val preds = (topPerPagePred.map(_._2) ++ truthSet.map(_._2)).distinct.sorted
-    val per = preds.map { pred =>
+    withAll(preds.map { pred =>
       val predictions = topPerPagePred.filter(_._2 == pred)
       val hits        = predictions.count(truthSet)
       val withTruth   = truthPages.getOrElse(pred, Set.empty).size.toLong
       pred -> PRF(pred, hits, predictions.size - hits, withTruth - hits)
-    }.toMap
-    per + ("ALL" -> PRF("ALL", per.values.map(_.tp).sum, per.values.map(_.fp).sum, per.values.map(_.fn).sum))
+    }.toMap)
   }
 
   /** Annotation accuracy (Table 6): an annotation is correct iff the page
@@ -116,15 +121,14 @@ object Metrics {
     val correctTriples = correct.map(a => (a._1, a._3, a._4)).toSet
 
     val preds = (anns.map(_._3) ++ annotatable.map(_._2)).distinct.sorted
-    val per = preds.map { pred =>
+    withAll(preds.map { pred =>
       val annsP    = anns.filter(_._3 == pred)
       val tp       = annsP.count(a => truthNodes((a._1, a._2, a._3))).toLong
       val fp       = annsP.size - tp
       val annotble = annotatable.filter(_._2 == pred)
       val fn       = annotble.count(x => !correctTriples(x)).toLong
       pred -> PRF(pred, tp, fp, fn)
-    }.toMap
-    per + ("ALL" -> PRF("ALL", per.values.map(_.tp).sum, per.values.map(_.fp).sum, per.values.map(_.fn).sum))
+    }.toMap)
   }
 
   /** Topic-identification accuracy (Table 7), evaluated on pages whose true

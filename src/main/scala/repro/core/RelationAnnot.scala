@@ -93,13 +93,12 @@ object RelationAnnot {
   /** Collect candidate mentions for every (topic page, predicate, object). */
   private def collectCands(
       pages: Dataset[PageDoc],
-      topicsB: Broadcast[Map[String, TopicId.PageTopic]],
+      topics: Map[String, TopicId.PageTopic],
       kbB: Broadcast[KnowledgeBase],
   )(implicit spark: SparkSession): Dataset[MentionCands] = {
     import spark.implicits._
     pages.mapPartitions { it =>
-      val kb     = kbB.value
-      val topics = topicsB.value
+      val kb = kbB.value
       it.flatMap { p =>
         topics.get(p.pageId) match {
           case None => Iterator.empty
@@ -140,8 +139,7 @@ object RelationAnnot {
       kbB: Broadcast[KnowledgeBase],
       minAnnotations: Int = 3,
   )(implicit spark: SparkSession): (Vector[Annotation], Vector[TopicId.PageTopic]) = {
-    val topicsB = spark.sparkContext.broadcast(topics.map(t => t.pageId -> t).toMap)
-    val cands   = collectCands(pages, topicsB, kbB).collect().toVector
+    val cands = collectCands(pages, topics.map(t => t.pageId -> t).toMap, kbB).collect().toVector
 
     // ---- global evidence ------------------------------------------------
     val clustersByPred: Map[String, XPathClustering.Clusters] =
@@ -185,8 +183,8 @@ object RelationAnnot {
       kbB: Broadcast[KnowledgeBase],
       minAnnotations: Int = 3,
   )(implicit spark: SparkSession): (Vector[Annotation], Vector[TopicId.PageTopic]) = {
-    val topicsB = spark.sparkContext.broadcast(topics.map(t => t.pageId -> t).toMap)
-    val annots = collectCands(pages, topicsB, kbB).collect().toVector.flatMap { c =>
+    val cands = collectCands(pages, topics.map(t => t.pageId -> t).toMap, kbB).collect().toVector
+    val annots = cands.flatMap { c =>
       c.allMentions.map(x =>
         Annotation(c.site, c.pageId, c.cluster, x, c.predicate, c.value, c.topicId, c.topicName))
     }

@@ -112,11 +112,13 @@ object TopicId {
       .sortBy { case (path, n) => (-n, path) }
       .take(topPaths)
 
+  /** Ranked paths the final pass tries, best first. */
+  private val TopPaths = 100
+
   def identify(
       pages: Dataset[PageDoc],
       kbB: Broadcast[KnowledgeBase],
       maxTopicPages: Int = 5,
-      topPaths: Int = 100,
   )(implicit spark: SparkSession): Dataset[PageTopic] = {
     import spark.implicits._
 
@@ -131,7 +133,7 @@ object TopicId {
 
     // ---- global steps on the driver -------------------------------------
     val blocked = blockedEntities(cands, maxTopicPages)
-    val ranked  = rankPaths(cands, blocked, topPaths).map(_._1)
+    val ranked  = rankPaths(cands, blocked, TopPaths).map(_._1)
 
     // ---- final per-page assignment --------------------------------------
     pages.mapPartitions { it =>

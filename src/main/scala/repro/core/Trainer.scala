@@ -25,8 +25,8 @@ import repro.util.FeatureHash
   * with breeze's LBFGS over the features actually seen, not as one Spark job
   * per iteration.  It minimises what Spark ML's multinomial
   * `LogisticRegression` minimises with `standardization = false`: mean
-  * log-loss plus `0.5 * regParam * |W|^2`, intercepts unpenalised, starting
-  * from zero weights and centred log class priors.
+  * log-loss plus `0.5 * RegParam * |W|^2` (`RegParam = 1e-4`), intercepts
+  * unpenalised, starting from zero weights and centred log class priors.
   */
 object Trainer {
 
@@ -79,11 +79,10 @@ object Trainer {
   )(implicit spark: SparkSession): Dataset[Example] = {
     import spark.implicits._
     val byPage = annotations.groupBy(_.pageId)
-    val byPageB = spark.sparkContext.broadcast(byPage)
     pages.mapPartitions { it =>
       val freq = frequentB.value
       it.flatMap { p =>
-        byPageB.value.get(p.pageId) match {
+        byPage.get(p.pageId) match {
           case None => Iterator.empty
           case Some(anns) =>
             val tree = new PageTree(p)
@@ -133,14 +132,16 @@ object Trainer {
   def train(
       examples: Dataset[Example],
       maxIter: Int = 40,
-      regParam: Double = 1e-4,
   )(implicit spark: SparkSession): NodeClassifier = {
     import spark.implicits._
     val rows = examples.map(ex => (ex.label, FeatureHash.encode(ex.features))).collect().sorted(rowOrder)
     val labels = (rows.map(_._1).toVector :+ OtherLabel).distinct.sorted
     if (labels.size == 1) new NodeClassifier(labels, Array.ofDim(1, FeatureHash.Dim), Array(0.0), 0, 0.0)
-    else fit(rows, labels, maxIter, regParam)
+    else fit(rows, labels, maxIter)
   }
+
+  /** L2 penalty on the feature weights, Spark ML's `regParam`. */
+  private val RegParam = 1e-4
 
   private val rowOrder: Ordering[(String, Array[Int])] = (a, b) => {
     val c = a._1.compareTo(b._1)
@@ -151,7 +152,6 @@ object Trainer {
       rows: Array[(String, Array[Int])],
       labels: Vector[String],
       maxIter: Int,
-      regParam: Double,
   ): NodeClassifier = {
     val k  = labels.size
     val n  = rows.length
@@ -172,7 +172,7 @@ object Trainer {
 
     val lbfgs = new LBFGS[DenseVector[Double]](maxIter = maxIter, m = 10, tolerance = 1e-6)
     val state = lbfgs.minimizeAndReturnState(
-      new CachedDiffFunction(new SoftmaxLoss(y, x, k, f, regParam)), DenseVector(init))
+      new CachedDiffFunction(new SoftmaxLoss(y, x, k, f, RegParam)), DenseVector(init))
     val theta = state.x.toArray
     val coef  = Array.ofDim[Double](k, FeatureHash.Dim)
     (0 until f).foreach(j => (0 until k).foreach(c => coef(c)(seen(j)) = theta(j * k + c)))

@@ -14,9 +14,7 @@ final case class DomNode(
     attrs: Map[String, String] = Map.empty,
     text: String = "",
     children: Vector[DomNode] = Vector.empty,
-) {
-  def withChildren(cs: DomNode*): DomNode = copy(children = cs.toVector)
-}
+)
 
 object DomNode {
   /** Convenience constructors used throughout the renderer and tests. */

@@ -18,7 +18,6 @@ final class PageTree(val doc: PageDoc) {
   private val idByXpath: Map[String, Int] = doc.nodes.map(n => n.xpath -> n.id).toMap
 
   def node(id: Int): NodeRow = byId(id)
-  def size: Int = byId.length
   def nodeAt(xpath: String): Option[NodeRow] = idByXpath.get(xpath).map(byId)
   def contains(xpath: String): Boolean = idByXpath.contains(xpath)
 
@@ -28,12 +27,6 @@ final class PageTree(val doc: PageDoc) {
     val b = List.newBuilder[Int]
     while (cur >= 0) { b += cur; cur = byId(cur).parent }
     b.result()
-  }
-
-  /** Siblings of `id` (children of its parent, excluding itself), in order. */
-  def siblings(id: Int): Vector[Int] = {
-    val p = byId(id).parent
-    if (p < 0) Vector.empty else childrenOf(p).filterNot(_ == id)
   }
 
   /** All node ids in the subtree rooted at `id` (inclusive), document order. */
@@ -52,13 +45,5 @@ final class PageTree(val doc: PageDoc) {
     var cur = id
     while (cur >= 0) { if (cur == anc) return true; cur = byId(cur).parent }
     false
-  }
-
-  /** Lowest common ancestor of two node ids. */
-  def lca(a: Int, b: Int): Int = {
-    val ancA = (a :: ancestors(a)).toSet
-    var cur = b
-    while (cur >= 0 && !ancA.contains(cur)) cur = byId(cur).parent
-    cur
   }
 }

@@ -5,28 +5,12 @@ package repro.dom
   * The pipeline frequently needs the *template* of a path — the path with
   * sibling indices removed — because pages from one template place the same
   * predicate at paths that differ only in indices (Figure 2 of the paper).
+  * Template clustering signs pages with it, and negative sampling (§4.1)
+  * excludes the nodes whose template matches a list of positives.
   */
 object XPaths {
   private val IndexRe = "\\[\\d+\\]".r
 
   /** Drop all sibling indices: `/html[1]/div[2]` → `/html/div`. */
   def template(xpath: String): String = IndexRe.replaceAllIn(xpath, "")
-
-  /** The sibling indices of a path, outermost first. */
-  def indices(xpath: String): Vector[Int] =
-    IndexRe.findAllMatchIn(xpath).map(m => m.matched.drop(1).dropRight(1).toInt).toVector
-
-  /** True iff two paths share a template and differ only in sibling indices —
-    * the "likely part of the same list" test used when excluding negative
-    * samples (§4.1).
-    */
-  def sameTemplate(a: String, b: String): Boolean = template(a) == template(b)
-
-  /** Positions (segment offsets) at which the two same-template paths have
-    * different indices; empty when the paths are identical.
-    */
-  def differingIndexPositions(a: String, b: String): Vector[Int] = {
-    require(sameTemplate(a, b), s"paths differ in template: $a vs $b")
-    indices(a).zip(indices(b)).zipWithIndex.collect { case ((x, y), i) if x != y => i }
-  }
 }

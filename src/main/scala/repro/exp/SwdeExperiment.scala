@@ -52,11 +52,7 @@ object SwdeExperiment {
       def score(ex: Vector[Extractor.Extraction], annotated: Int): SiteRun = {
         val restrict: Map[String, Metrics.PRF] => Map[String, Metrics.PRF] =
           if (system == "Vertex++") identity
-          else m => {
-            val per = (m - "ALL").filter { case (p, _) => kbPreds(p) }
-            per + ("ALL" -> Metrics.PRF("ALL", per.values.map(_.tp).sum,
-              per.values.map(_.fp).sum, per.values.map(_.fn).sum))
-          }
+          else m => Metrics.withAll((m - "ALL").filter { case (p, _) => kbPreds(p) })
         // Restrict truth to KB predicates for DS systems before scoring, so
         // unextractable predicates (mpaa) do not show up as fn.
         val truth =
@@ -70,7 +66,7 @@ object SwdeExperiment {
 
       system match {
         case "Vertex++" =>
-          score(VertexPP.run(pages, site.truth, vd.namePred), 2)
+          score(VertexPP.run(pages, site.truth, vd.namePred), VertexPP.TrainPages)
         case "CERES-Baseline" =>
           score(CeresBaseline.run(pages, trainIds, vd.kb), -1)
         case "CERES-Topic" =>
@@ -107,7 +103,7 @@ object SwdeExperiment {
       .flatMap(r => (r.mention - "ALL").values.map(m => (r.vertical, m)))
       .groupBy { case (v, m) => (v, m.label) }
       .map { case ((v, pred), ms) =>
-        (v, pred, Metrics.PRF(pred, ms.map(_._2.tp).sum, ms.map(_._2.fp).sum, ms.map(_._2.fn).sum))
+        (v, pred, Metrics.total(pred, ms.map(_._2)))
       }
       .toVector
       .sortBy(t => (t._1, t._2))

@@ -6,13 +6,11 @@ import repro.util.Normalize
   * to executors.
   *
   * All lookups are keyed by [[Normalize]]d strings, our stand-in for the
-  * paper's fuzzy matcher (DESIGN.md §2).  Three indexes drive the pipeline:
+  * paper's fuzzy matcher (DESIGN.md §2).  Two indexes drive the pipeline:
   *
   *  - `entitiesByName`: candidate topic entities for a text field (Alg. 1);
   *  - `objectsOf`: the entitySet of a subject, for Jaccard scoring (Eq. 1)
-  *    and for retrieving a topic's facts during annotation (Alg. 2);
-  *  - `subjectsOfObject`: which (subject, predicate) pairs an object value
-  *    participates in — used by the pairwise CERES-Baseline.
+  *    and for retrieving a topic's facts during annotation (Alg. 2).
   *
   * `frequentValues` implements the uniqueness pre-filter of §3.1.1: strings
   * appearing in at least `freqCutoff` of all triples are never topic
@@ -28,7 +26,7 @@ final class KnowledgeBase(
   val nameOf: Map[String, String] =
     triples.map(t => t.subjectId -> t.subjectName).toMap
 
-  /** entityId -> ontology type. */
+  /** entityId -> ontology type (the KB statistics of Table 2). */
   val typeOf: Map[String, String] =
     triples.map(t => t.subjectId -> t.subjectType).toMap
 
@@ -43,9 +41,9 @@ final class KnowledgeBase(
   val objectsOf: Map[String, Set[String]] =
     triplesOf.map { case (id, ts) => id -> ts.map(t => Normalize(t.obj)).toSet }
 
-  /** normalised object value -> (subjectId, predicate) pairs it appears in. */
-  val subjectsOfObject: Map[String, Vector[(String, String)]] =
-    triples.groupBy(t => Normalize(t.obj)).map { case (o, ts) => o -> ts.map(t => (t.subjectId, t.predicate)) }
+  /** normalised object value -> number of triples it is the object of. */
+  private val objectCounts: Map[String, Int] =
+    triples.groupMapReduce(t => Normalize(t.obj))(_ => 1)(_ + _)
 
   /** All predicates present in the seed KB — the classifier's class universe. */
   val predicates: Set[String] = triples.map(_.predicate).toSet
@@ -55,15 +53,12 @@ final class KnowledgeBase(
     */
   val frequentValues: Set[String] = {
     val minCount = math.max(2L, math.ceil(freqCutoff * triples.size).toLong)
-    triples
-      .groupBy(t => Normalize(t.obj))
-      .collect { case (o, ts) if ts.size >= minCount => o }
-      .toSet
+    objectCounts.collect { case (o, n) if n >= minCount => o }.toSet
   }
 
   /** Is the normalised string known to the KB at all (entity name or value)? */
   def knownString(norm: String): Boolean =
-    entitiesByName.contains(norm) || subjectsOfObject.contains(norm)
+    entitiesByName.contains(norm) || objectCounts.contains(norm)
 
   def size: Int = triples.size
 }

@@ -22,12 +22,6 @@ import repro.kb.{KnowledgeBase, Triple}
   */
 object ImdbWorld {
 
-  // Person-page predicates (Table 5 upper half).
-  val PersonPreds = Vector("alias", "placeOfBirth", "actedIn", "directorOf", "writerOf", "producerOf")
-  // Film/TV-page predicates (Table 5 lower half).
-  val FilmPreds = Vector("hasCastMember", "directedBy", "writtenBy", "releaseDate",
-                         "releaseYear", "genre", "episodeNumber", "seasonNumber", "series")
-
   case class Imdb(
       persons: Vector[WEntity],
       titles: Vector[WEntity], // films + episodes

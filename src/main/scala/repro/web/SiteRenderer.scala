@@ -181,7 +181,6 @@ object SiteRenderer {
       side += el("div", Map("class" -> "sbx"),
         noise.searchBoxValues.map(v => txt("option", v, Map("class" -> "sbx-o"))): _*)
 
-    val nameField = spec.fields.find(_.pred == spec.namePred)
     el("html",
       el("head", txt("title", s"${e.name} - ${spec.site}")),
       el("body", Map("class" -> "page"),

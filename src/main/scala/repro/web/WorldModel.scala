@@ -36,8 +36,4 @@ case class RenderedSite(
     pages: Vector[PageDoc],
     truth: Vector[TruthFact],
     topics: Vector[TopicTruth],
-) {
-  /** Distinct asserted (page, predicate, value) facts — the recall denominator. */
-  def assertedFacts: Vector[(String, String, String)] =
-    truth.map(t => (t.pageId, t.predicate, t.value)).distinct
-}
+)

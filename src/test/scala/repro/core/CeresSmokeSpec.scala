@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.dom.PageDoc
 import repro.web.Verticals
 
 /** End-to-end smoke: CERES-Full on a small synthetic NBA site must identify
@@ -38,5 +39,24 @@ class CeresSmokeSpec extends SparkSpec {
     val prf = Metrics.extractionPRF(result.extractions, site.truth, _ => "name", evalIds)
     info(prf.toVector.sortBy(_._1).map { case (k, m) => s"$k ${Metrics.fmt(m)}" }.mkString("; "))
     assert(prf("ALL").f1 > 0.8, s"ALL=${Metrics.fmt(prf("ALL"))}")
+  }
+
+  test("degenerate: an empty Dataset yields an empty Result") {
+    implicit val s = spark
+    val r = Ceres.run(spark.createDataset(Seq.empty[PageDoc]), Set.empty, vd.kb)
+    assert(r == Ceres.Result(Vector.empty, Vector.empty, Vector.empty, Vector.empty))
+  }
+
+  test("degenerate: a page with no text nodes gets no topic, annotation or extraction") {
+    implicit val s = spark
+    // Same markup as a real page of the site, so it clusters with the others.
+    val blank = site.pages.head.copy(pageId = "blank",
+      nodes = site.pages.head.nodes.map(_.copy(text = "", norm = "")))
+    assert(blank.textNodes.isEmpty)
+    val r = Ceres.run(spark.createDataset(site.pages :+ blank), Set.empty, vd.kb)
+    assert(r.extractions.nonEmpty, "the rest of the site still extracts")
+    assert(!r.topics.exists(_.pageId == "blank"))
+    assert(!r.annotations.exists(_.pageId == "blank"))
+    assert(!r.extractions.exists(_.pageId == "blank"))
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.kb.{KnowledgeBase, Triple}
@@ -93,5 +94,33 @@ class MetricsSpec extends AnyFunSuite {
       TopicTruth("s", "p3", "eX", "EX")) // eX not in KB: excluded from recall
     val m = Metrics.topicPRF(topics, tt, kb)
     assert(m.tp == 1 && m.fp == 1 && m.fn == 1)
+  }
+
+  // A few pages, predicates and values, so generated extractions and truth
+  // overlap often; the name class resolves to "title".
+  private val pageG  = Gen.oneOf("p0", "p1", "p2")
+  private val valueG = Gen.oneOf("Drama", "drama!", "Comedy", "Noir")
+  private val extG = for {
+    pid  <- pageG
+    pred <- Gen.oneOf("genre", "director", RelationAnnot.NamePred)
+    v    <- valueG
+    c    <- Gen.choose(0.0, 1.0)
+  } yield ext(pid, pred, v, c)
+  private val truthG = for {
+    pid  <- pageG
+    pred <- Gen.oneOf("genre", "director", "title", "year")
+    v    <- valueG
+  } yield tf(pid, "/a[1]", pred, v)
+
+  test("property: extractionPRF's ALL is the roll-up of its predicates and tp + fn counts the truth") {
+    val prop = Prop.forAll(Gen.listOf(extG), Gen.listOf(truthG), Gen.someOf("p0", "p1", "p2")) {
+      (exs, truth, eval) =>
+        val evalPages = eval.toSet
+        val prf = Metrics.extractionPRF(exs.toVector, truth.toVector, _ => "title", evalPages)
+        val all = prf("ALL")
+        all == Metrics.total("ALL", (prf - "ALL").values) &&
+          all.tp + all.fn == Metrics.truthTriples(truth.toVector, evalPages).size
+    }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop).passed)
   }
 }

@@ -26,10 +26,6 @@ class PageTreeSpec extends AnyFunSuite {
     val ancTags = tree.ancestors(b).map(tree.node(_).tag)
     assert(ancTags == List("ul", "div", "body", "html"))
   }
-  test("siblings excludes self") {
-    val b = idOf("b")
-    assert(tree.siblings(b).map(tree.node(_).text) == Vector("c"))
-  }
   test("subtree is inclusive, document order") {
     val div1 = tree.node(idOf("a")).parent
     assert(tree.subtree(div1).map(tree.node(_).text).filter(_.nonEmpty) == Vector("a", "b", "c"))
@@ -46,10 +42,4 @@ class PageTreeSpec extends AnyFunSuite {
     assert(!tree.contains(b, ul))
   }
   test("containment is reflexive") { assert(tree.contains(idOf("c"), idOf("c"))) }
-  test("lca of two list items is the list") {
-    assert(tree.node(tree.lca(idOf("b"), idOf("c"))).tag == "ul")
-  }
-  test("lca across divs is body") {
-    assert(tree.node(tree.lca(idOf("a"), idOf("d"))).tag == "body")
-  }
 }

@@ -28,9 +28,6 @@ class KnowledgeBaseSpec extends AnyFunSuite {
   test("objectsOf is normalised") {
     assert(kb.objectsOf("f1") == Set("spike lee", "comedy", "drama"))
   }
-  test("subjectsOfObject inverts") {
-    assert(kb.subjectsOfObject("spike lee").toSet == Set(("f1", "director"), ("f2", "director")))
-  }
   test("predicates universe") {
     assert(kb.predicates == Set("director", "genre", "series"))
   }
