@@ -2,22 +2,25 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.{ImdbExperiment, LongTailExperiment, SwdeExperiment}
+import repro.web.Verticals
 
 /** Shared lazily-computed experiment runs: the bench suites for Tables 3+4
   * (SWDE), 5+6+7 (IMDb) and 8+9+Fig6 (long-tail) each reuse one run.
   *
-  * Sizes are ~1/50 of the paper's page counts (DESIGN.md §6) and can be
-  * overridden via BENCH_SWDE_PAGES / BENCH_LT_SCALE for quicker smoke runs.
+  * Sizes are ~1/50 of the paper's page counts (DESIGN.md §6), fixed
+  * because `golden/tables.txt` holds the tables at this one scale.
   */
 object BenchRuns {
   private implicit lazy val spark: org.apache.spark.sql.SparkSession = SparkSpec.shared
 
-  val swdePages: Int    = sys.env.getOrElse("BENCH_SWDE_PAGES", "120").toInt
-  val ltScale: Double   = sys.env.getOrElse("BENCH_LT_SCALE", "0.5").toDouble
+  val SwdePages     = 120
+  val LongTailScale = 0.5
 
-  lazy val swde: Vector[SwdeExperiment.SiteRun] = SwdeExperiment.run(pagesPerSite = swdePages)
+  lazy val verticals: Vector[Verticals.VerticalData] = Verticals.all(SwdePages)
+
+  lazy val swde: Vector[SwdeExperiment.SiteRun] = SwdeExperiment.run(pagesPerSite = SwdePages)
 
   lazy val imdb: ImdbExperiment.Run = ImdbExperiment.run()
 
-  lazy val longtail: Vector[LongTailExperiment.SiteResult] = LongTailExperiment.run(scale = ltScale)
+  lazy val longtail: Vector[LongTailExperiment.SiteResult] = LongTailExperiment.run(scale = LongTailScale)
 }

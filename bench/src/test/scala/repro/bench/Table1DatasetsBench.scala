@@ -1,23 +1,17 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.TableFmt
-import repro.web.Verticals
+import repro.exp.SwdeExperiment
 
 /** Table 1: the SWDE-lite dataset overview (paper: 4 verticals, 10 sites
   * each, 4.4k–20k pages; ours: 4 verticals, 4 sites each at bench scale).
   */
 class Table1DatasetsBench extends SparkSpec {
 
-  private lazy val verticals = Verticals.all(BenchRuns.swdePages)
+  private lazy val verticals = BenchRuns.verticals
 
   test("Table 1: dataset overview") {
-    val rows = verticals.map { vd =>
-      Vector(vd.vertical, vd.sites.size.toString,
-        vd.sites.map(_.pages.size).sum.toString,
-        vd.preds.mkString(", "))
-    }
-    println(TableFmt.render("Table 1: SWDE-lite dataset", Vector("Vertical", "#Sites", "#Pages", "Attributes"), rows))
+    println(SwdeExperiment.renderTable1(verticals))
     assert(verticals.size == 4)
   }
   test("each vertical has the paper's predicate schema") {

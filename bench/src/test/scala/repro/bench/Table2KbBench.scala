@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.TableFmt
+import repro.exp.ImdbExperiment
 
 /** Table 2: composition of the movie seed KB (paper: Person 7.67M/15,
   * Film 0.43M/19, TV Episode 1.09M/18 at 85M triples; ours is the same
@@ -12,12 +12,8 @@ class Table2KbBench extends SparkSpec {
   private lazy val kb = BenchRuns.imdb.imdb.kb
 
   test("Table 2: KB composition by entity type") {
-    val rows = kb.triples.groupBy(_.subjectType).toVector.sortBy(_._1).map { case (t, ts) =>
-      Vector(t, ts.map(_.subjectId).distinct.size.toString, ts.map(_.predicate).distinct.size.toString)
-    }
-    println(TableFmt.render("Table 2: seed KB composition",
-      Vector("Entity Type", "#Instances", "#Predicates"), rows))
-    assert(rows.map(_.head).toSet == Set("Person", "Film", "TVEpisode"))
+    println(ImdbExperiment.renderTable2(BenchRuns.imdb))
+    assert(kb.triples.map(_.subjectType).toSet == Set("Person", "Film", "TVEpisode"))
   }
   test("episodes outnumber films in the KB (over-represented type)") {
     val byType = kb.typeOf.values.groupBy(identity).view.mapValues(_.size).toMap

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{SwdeExperiment, TableFmt}
+import repro.exp.SwdeExperiment
 
 /** Table 3: page-hit F1 of the four implemented systems on the four SWDE
   * verticals.  Paper values (for the systems we implement):
@@ -21,14 +21,8 @@ class Table3SwdeBench extends SparkSpec {
   private lazy val t3 = SwdeExperiment.table3(runs).map { case (v, s, f) => (v, s) -> f }.toMap
 
   test("Table 3: page-hit F1 per vertical and system") {
-    val verticals = Vector("movie", "nbaplayer", "university", "book")
-    println(TableFmt.render("Table 3: page-hit F1",
-      "System" +: verticals,
-      SwdeExperiment.Systems.map(sys =>
-        sys +: verticals.map(v => t3.get((v, sys)).map(TableFmt.f2).getOrElse("NA")))))
-    println("Annotated-page fraction (CERES-Full): " +
-      SwdeExperiment.annotatedFraction(runs).toVector.sortBy(_._1)
-        .map { case (v, f) => f"$v=${f * 100}%.0f%%" }.mkString(", "))
+    println(SwdeExperiment.renderTable3(runs))
+    println(SwdeExperiment.renderAnnotatedFraction(runs))
     assert(t3.nonEmpty)
   }
   test("shape: CERES-Full strong on movie and nbaplayer (paper: 0.99 / 0.98)") {

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{SwdeExperiment, TableFmt}
+import repro.exp.SwdeExperiment
 
 /** Table 4: per-predicate mention-level P/R/F1 for Vertex++ vs CERES-Full.
   *
@@ -17,14 +17,7 @@ class Table4SwdePredicateBench extends SparkSpec {
 
   test("Table 4: per-predicate comparison") {
     val keys = (vpp.keySet ++ full.keySet).toVector.sorted
-    println(TableFmt.render("Table 4: mention-level P/R/F1 (Vertex++ vs CERES-Full)",
-      Vector("Vertical", "Predicate", "V++ P", "V++ R", "V++ F1", "Full P", "Full R", "Full F1"),
-      keys.map { case (v, p) =>
-        def cells(m: Option[repro.core.Metrics.PRF]) =
-          m.map(x => Vector(TableFmt.f2(x.p), TableFmt.f2(x.r), TableFmt.f2(x.f1)))
-            .getOrElse(Vector("NA", "NA", "NA"))
-        Vector(v, p) ++ cells(vpp.get((v, p))) ++ cells(full.get((v, p)))
-      }))
+    println(SwdeExperiment.renderTable4(runs))
     assert(keys.nonEmpty)
   }
   test("shape: mpaa extracted by Vertex++ but NA for CERES-Full") {

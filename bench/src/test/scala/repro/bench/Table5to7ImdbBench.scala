@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.Metrics
-import repro.exp.{ImdbExperiment, TableFmt}
+import repro.exp.ImdbExperiment
 
 /** Tables 5–7 on IMDb-lite: CERES-Full vs CERES-Topic.
   *
@@ -15,25 +15,8 @@ class Table5to7ImdbBench extends SparkSpec {
 
   private lazy val r = BenchRuns.imdb
 
-  private def renderPair(title: String,
-                         topic: Map[String, Metrics.PRF],
-                         full: Map[String, Metrics.PRF]): Unit = {
-    val preds = (topic.keySet ++ full.keySet).toVector.sorted.filterNot(_ == "ALL") :+ "ALL"
-    println(TableFmt.render(title,
-      Vector("Predicate", "Topic-P", "Topic-R", "Topic-F1", "Full-P", "Full-R", "Full-F1"),
-      preds.map { p =>
-        val t = topic.getOrElse(p, Metrics.PRF(p, 0, 0, 0))
-        val f = full.getOrElse(p, Metrics.PRF(p, 0, 0, 0))
-        Vector(p, TableFmt.f2(t.p), TableFmt.f2(t.r), TableFmt.f2(t.f1),
-          TableFmt.f2(f.p), TableFmt.f2(f.r), TableFmt.f2(f.f1))
-      }))
-  }
-
   test("Table 5: extraction quality per domain") {
-    Seq("Person", "Film/TV").foreach { dom =>
-      renderPair(s"Table 5 ($dom): extraction",
-        ImdbExperiment.table5(r, r.topic, dom), ImdbExperiment.table5(r, r.full, dom))
-    }
+    println(ImdbExperiment.renderTable5(r))
     succeed
   }
   test("shape T5: CERES-Full precision beats CERES-Topic on Person pages") {
@@ -50,10 +33,7 @@ class Table5to7ImdbBench extends SparkSpec {
   }
 
   test("Table 6: annotation accuracy per domain") {
-    Seq("Person", "Film/TV").foreach { dom =>
-      renderPair(s"Table 6 ($dom): annotation",
-        ImdbExperiment.table6(r, r.topic, dom), ImdbExperiment.table6(r, r.full, dom))
-    }
+    println(ImdbExperiment.renderTable6(r))
     succeed
   }
   test("shape T6: Full annotation precision beats Topic; Topic recall >= Full") {
@@ -73,9 +53,7 @@ class Table5to7ImdbBench extends SparkSpec {
   }
 
   test("Table 7: topic identification accuracy") {
-    println(TableFmt.render("Table 7: topic identification",
-      Vector("Domain", "P", "R", "F1"),
-      Seq("Person", "Film/TV").map(d => TableFmt.prfRow(Vector(d), ImdbExperiment.table7(r, d))).toVector))
+    println(ImdbExperiment.renderTable7(r))
     succeed
   }
   test("shape T7: topic identification precision is high (paper: 0.97-0.99)") {

@@ -19,28 +19,16 @@ class Table8LongTailBench extends SparkSpec {
   private def byName(s: String) = rows.find(_.site == s).get
 
   test("Table 8: per-site breakdown @ 0.5") {
-    val sorted = rows.sortBy(r => if (r.precision.isNaN) 2.0 else -r.precision)
-    println(TableFmt.render("Table 8: long-tail sites @ threshold 0.5",
-      Vector("Website", "Focus", "#Pages", "#AnnPages", "#Ann", "#Extr", "ExP/AnP", "Ex/Ann", "Precision"),
-      sorted.map(r => Vector(r.site, r.focus, r.nPages.toString, r.annotatedPages.toString,
-        r.annotations.toString, r.extractions.toString, TableFmt.f2(r.extractedToAnnotatedPages),
-        TableFmt.f2(r.extractionToAnnotation), TableFmt.f2(r.precision)))))
-    val ex = rows.map(_.extractions).sum
-    val correct = rows.filterNot(_.precision.isNaN).map(r => r.precision * r.extractions).sum
-    println(f"TOTAL pages=${rows.map(_.nPages).sum} annPages=${rows.map(_.annotatedPages).sum} " +
-      f"ann=${rows.map(_.annotations).sum} extr=$ex precision=${correct / ex}%.2f " +
-      f"ex/ann=${ex.toDouble / rows.map(_.annotations).sum}%.2f")
+    println(LongTailExperiment.renderTable8(rows))
     assert(rows.nonEmpty)
   }
   test("shape T8: overall precision in the paper's band (0.83 +- 0.12)") {
-    val ex = rows.map(_.extractions).sum
-    val correct = rows.filterNot(_.precision.isNaN).map(r => r.precision * r.extractions).sum
-    val p = correct / ex
+    val p = LongTailExperiment.table8Total(rows).precision
     info(f"overall precision=$p%.3f")
     assert(p > 0.70 && p <= 0.97, f"p=$p%.3f")
   }
   test("shape T8: extraction:annotation ratio is multiple-fold (paper: ~4:1)") {
-    val ratio = rows.map(_.extractions).sum.toDouble / rows.map(_.annotations).sum
+    val ratio = LongTailExperiment.table8Total(rows).extractionToAnnotation
     info(f"ratio=$ratio%.2f")
     assert(ratio > 1.5, f"ratio=$ratio%.2f")
   }
@@ -67,9 +55,7 @@ class Table8LongTailBench extends SparkSpec {
 
   test("Table 9: most-extracted predicates") {
     val t9 = LongTailExperiment.table9(srs)
-    println(TableFmt.render("Table 9: top predicates @ threshold 0.5",
-      Vector("Predicate", "#Annotations", "#Extractions", "Precision"),
-      t9.map { case (p, a, e, pr) => Vector(p, a.toString, e.toString, TableFmt.f2(pr)) }))
+    println(LongTailExperiment.renderTable9(srs))
     assert(t9.nonEmpty)
   }
   test("shape T9: cast/person predicates dominate extraction volume") {
@@ -86,12 +72,9 @@ class Table8LongTailBench extends SparkSpec {
   }
 
   test("Figure 6: threshold sweep (precision rises, volume falls)") {
-    val sweep = LongTailExperiment.sweep(srs, (50 to 95 by 5).map(_ / 100.0).toVector)
-    println(TableFmt.render("Figure 6: precision vs extraction count",
-      Vector("Threshold", "#Extractions", "Precision"),
-      sweep.map { case (t, n, p) => Vector(TableFmt.f2(t), n.toString, TableFmt.f2(p)) }))
-    val (annEnt, exEnt) = LongTailExperiment.entityRatio(srs)
-    println(f"Entity ratio annotated:extracted = 1:${exEnt.toDouble / annEnt}%.2f ($annEnt vs $exEnt)")
+    val sweep = LongTailExperiment.sweep(srs)
+    println(LongTailExperiment.renderFigure6(srs))
+    println(LongTailExperiment.renderEntityRatio(srs))
     // Volume decreases monotonically with threshold.
     sweep.sliding(2).foreach { case Vector((_, n1, _), (_, n2, _)) => assert(n2 <= n1); case _ => }
     // Precision at the top threshold is at least that at the bottom.
@@ -99,7 +82,7 @@ class Table8LongTailBench extends SparkSpec {
       s"head=${sweep.head._3} last=${sweep.last._3}")
   }
   test("shape Fig6: a higher threshold reaches ~90% precision (abstract claim)") {
-    val sweep = LongTailExperiment.sweep(srs, (50 to 95 by 5).map(_ / 100.0).toVector)
+    val sweep = LongTailExperiment.sweep(srs)
     val hit = sweep.find(_._3 >= 0.88)
     info(s"first threshold reaching 0.88+: $hit")
     assert(hit.nonEmpty, s"sweep=${sweep.map(t => TableFmt.f2(t._3))}")

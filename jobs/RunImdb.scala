@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.exp.{ImdbExperiment, TableFmt}
+import repro.exp.ImdbExperiment
 
 /** spark-submit entrypoint for the IMDb experiment (Tables 2, 5, 6, 7). */
 object RunImdb {
@@ -14,41 +14,10 @@ object RunImdb {
       .getOrCreate()
 
     val r = ImdbExperiment.run()
-
-    println(TableFmt.render("Table 2: seed KB composition",
-      Vector("Entity Type", "#Instances", "#Predicates"),
-      r.imdb.kb.triples.groupBy(_.subjectType).toVector.sortBy(_._1).map { case (t, ts) =>
-        Vector(t, ts.map(_.subjectId).distinct.size.toString, ts.map(_.predicate).distinct.size.toString)
-      }))
-
-    Seq("Person", "Film/TV").foreach { dom =>
-      val full  = ImdbExperiment.table5(r, r.full, dom)
-      val topic = ImdbExperiment.table5(r, r.topic, dom)
-      val preds = (full.keySet ++ topic.keySet).toVector.sorted.filterNot(_ == "ALL") :+ "ALL"
-      println(TableFmt.render(s"Table 5 ($dom): extraction quality",
-        Vector("Predicate", "Topic-P", "Topic-R", "Topic-F1", "Full-P", "Full-R", "Full-F1"),
-        preds.map { p =>
-          val t = topic.getOrElse(p, repro.core.Metrics.PRF(p, 0, 0, 0))
-          val f = full.getOrElse(p, repro.core.Metrics.PRF(p, 0, 0, 0))
-          Vector(p, TableFmt.f2(t.p), TableFmt.f2(t.r), TableFmt.f2(t.f1),
-            TableFmt.f2(f.p), TableFmt.f2(f.r), TableFmt.f2(f.f1))
-        }))
-      val fullA  = ImdbExperiment.table6(r, r.full, dom)
-      val topicA = ImdbExperiment.table6(r, r.topic, dom)
-      val apreds = (fullA.keySet ++ topicA.keySet).toVector.sorted.filterNot(_ == "ALL") :+ "ALL"
-      println(TableFmt.render(s"Table 6 ($dom): annotation accuracy",
-        Vector("Predicate", "Topic-P", "Topic-R", "Topic-F1", "Full-P", "Full-R", "Full-F1"),
-        apreds.map { p =>
-          val t = topicA.getOrElse(p, repro.core.Metrics.PRF(p, 0, 0, 0))
-          val f = fullA.getOrElse(p, repro.core.Metrics.PRF(p, 0, 0, 0))
-          Vector(p, TableFmt.f2(t.p), TableFmt.f2(t.r), TableFmt.f2(t.f1),
-            TableFmt.f2(f.p), TableFmt.f2(f.r), TableFmt.f2(f.f1))
-        }))
-    }
-
-    println(TableFmt.render("Table 7: topic identification accuracy",
-      Vector("Domain", "P", "R", "F1"),
-      Seq("Person", "Film/TV").map(d => TableFmt.prfRow(Vector(d), ImdbExperiment.table7(r, d))).toVector))
+    println(ImdbExperiment.renderTable2(r))
+    println(ImdbExperiment.renderTable5(r))
+    println(ImdbExperiment.renderTable6(r))
+    println(ImdbExperiment.renderTable7(r))
     spark.stop()
   }
 }

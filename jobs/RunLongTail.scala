@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.exp.{LongTailExperiment, TableFmt}
+import repro.exp.LongTailExperiment
 
 /** spark-submit entrypoint for the long-tail experiment (Tables 8, 9, Fig 6). */
 object RunLongTail {
@@ -14,37 +14,11 @@ object RunLongTail {
       .getOrCreate()
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
 
-    val srs  = LongTailExperiment.run(scale)
-    val rows = srs.map(LongTailExperiment.table8Row(_)).sortBy(r => -r.precision)
-
-    println(TableFmt.render("Table 8: long-tail movie sites @ threshold 0.5",
-      Vector("Website", "Focus", "#Pages", "#AnnPages", "#Ann", "#Extr", "ExP/AnP", "Ex/Ann", "Precision"),
-      rows.map(r => Vector(r.site, r.focus, r.nPages.toString, r.annotatedPages.toString,
-        r.annotations.toString, r.extractions.toString,
-        TableFmt.f2(r.extractedToAnnotatedPages), TableFmt.f2(r.extractionToAnnotation),
-        TableFmt.f2(r.precision)))))
-
-    val total = {
-      val ex = rows.map(_.extractions).sum
-      val correct = rows.filterNot(_.precision.isNaN).map(r => r.precision * r.extractions).sum
-      (rows.map(_.nPages).sum, rows.map(_.annotatedPages).sum, rows.map(_.annotations).sum,
-        ex, if (ex == 0) Double.NaN else correct / ex)
-    }
-    println(f"TOTAL pages=${total._1} annPages=${total._2} ann=${total._3} extr=${total._4} precision=${total._5}%.2f")
-
-    println(TableFmt.render("Table 9: most-extracted predicates @ threshold 0.5",
-      Vector("Predicate", "#Annotations", "#Extractions", "Precision"),
-      LongTailExperiment.table9(srs).map { case (p, a, e, pr) =>
-        Vector(p, a.toString, e.toString, TableFmt.f2(pr))
-      }))
-
-    println(TableFmt.render("Figure 6: precision vs extractions by threshold",
-      Vector("Threshold", "#Extractions", "Precision"),
-      LongTailExperiment.sweep(srs, (50 to 95 by 5).map(_ / 100.0).toVector)
-        .map { case (t, n, p) => Vector(TableFmt.f2(t), n.toString, TableFmt.f2(p)) }))
-
-    val (annEnt, exEnt) = LongTailExperiment.entityRatio(srs)
-    println(f"Entity ratio annotated:extracted = 1:${exEnt.toDouble / annEnt}%.2f ($annEnt vs $exEnt)")
+    val srs = LongTailExperiment.run(scale)
+    println(LongTailExperiment.renderTable8(srs.map(LongTailExperiment.table8Row(_))))
+    println(LongTailExperiment.renderTable9(srs))
+    println(LongTailExperiment.renderFigure6(srs))
+    println(LongTailExperiment.renderEntityRatio(srs))
     spark.stop()
   }
 }

@@ -2,7 +2,8 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.exp.{SwdeExperiment, TableFmt}
+import repro.exp.SwdeExperiment
+import repro.web.Verticals
 
 /** spark-submit entrypoint for the SWDE experiment (Tables 1, 3, 4).
   *
@@ -18,33 +19,10 @@ object RunSwde {
     val pagesPerSite = args.headOption.map(_.toInt).getOrElse(120)
 
     val runs = SwdeExperiment.run(pagesPerSite)
-
-    println(TableFmt.render("Table 1: SWDE-lite dataset",
-      Vector("Vertical", "#Sites", "#Pages"),
-      runs.filter(_.system == "CERES-Full").groupBy(_.vertical).toVector.sortBy(_._1).map {
-        case (v, rs) => Vector(v, rs.map(_.site).distinct.size.toString,
-          (rs.map(_.nTrainPages).sum * 2).toString)
-      }))
-
-    val t3 = SwdeExperiment.table3(runs)
-    println(TableFmt.render("Table 3: page-hit F1 per vertical",
-      Vector("System", "movie", "nbaplayer", "university", "book"),
-      SwdeExperiment.Systems.map { sys =>
-        sys +: Vector("movie", "nbaplayer", "university", "book").map(v =>
-          t3.find(r => r._1 == v && r._2 == sys).map(r => TableFmt.f2(r._3)).getOrElse("NA"))
-      }))
-
-    Seq("Vertex++", "CERES-Full").foreach { sys =>
-      println(TableFmt.render(s"Table 4 ($sys): mention-level P/R/F1",
-        Vector("Vertical", "Predicate", "P", "R", "F1"),
-        SwdeExperiment.table4(runs, sys).map { case (v, p, m) =>
-          TableFmt.prfRow(Vector(v, p), m)
-        }))
-    }
-
-    println("Annotated-page fraction (CERES-Full): " +
-      SwdeExperiment.annotatedFraction(runs).toVector.sortBy(_._1)
-        .map { case (v, f) => f"$v=${f * 100}%.0f%%" }.mkString(", "))
+    println(SwdeExperiment.renderTable1(Verticals.all(pagesPerSite)))
+    println(SwdeExperiment.renderTable3(runs))
+    println(SwdeExperiment.renderAnnotatedFraction(runs))
+    println(SwdeExperiment.renderTable4(runs))
     spark.stop()
   }
 }

@@ -6,7 +6,7 @@ import repro.core.{Ceres, Metrics, RelationAnnot}
 import repro.web.ImdbWorld
 
 /** The IMDb experiment (§5.4): Tables 5, 6 and 7 on the two-template
-  * IMDb-lite site, comparing CERES-Full against CERES-Topic.
+  * IMDb-lite site, comparing CERES-Full against CERES-Topic; Table 2 describes its seed KB.
   *
   * Person pages carry the `nm-` pageId prefix; extraction quality (Table 5)
   * is computed on the eval half, annotation quality (Table 6) on the train
@@ -14,6 +14,8 @@ import repro.web.ImdbWorld
   * train half against renderer truth restricted to KB-covered topics.
   */
 object ImdbExperiment {
+
+  val Domains = Vector("Person", "Film/TV")
 
   case class Run(
       imdb: ImdbWorld.Imdb,
@@ -25,6 +27,7 @@ object ImdbExperiment {
     def isPerson(pageId: String): Boolean = pageId.startsWith("nm-")
     def namePredOf(pageId: String): String = if (isPerson(pageId)) "name" else "title"
     def domainOf(pageId: String): String   = if (isPerson(pageId)) "Person" else "Film/TV"
+    def inDomain(domain: String): String => Boolean = domainOf(_) == domain
   }
 
   def run(
@@ -48,31 +51,51 @@ object ImdbExperiment {
 
   /** Table 5: per-predicate extraction PRF on the eval half, per domain. */
   def table5(r: Run, result: Ceres.Result, domain: String): Map[String, Metrics.PRF] = {
-    val pageFilter = (pid: String) => r.domainOf(pid) == domain
-    val evalIds = r.evalIds.filter(pageFilter)
-    val truth   = r.imdb.site.truth.filter(t => pageFilter(t.pageId))
-    Metrics.extractionPRF(result.extractions.filter(e => pageFilter(e.pageId)),
-      truth, r.namePredOf, evalIds)
+    val in = r.inDomain(domain)
+    Metrics.extractionPRF(result.extractions.filter(e => in(e.pageId)),
+      r.imdb.site.truth.filter(t => in(t.pageId)), r.namePredOf, r.evalIds.filter(in))
   }
 
   /** Table 6: per-predicate annotation PRF on the train half, per domain. */
   def table6(r: Run, result: Ceres.Result, domain: String): Map[String, Metrics.PRF] = {
-    val pageFilter = (pid: String) => r.domainOf(pid) == domain
-    val trainIds = r.trainIds.filter(pageFilter)
-    val truth    = r.imdb.site.truth.filter(t => pageFilter(t.pageId))
-    val annots   = result.annotations.filter(a => pageFilter(a.pageId) &&
-      a.predicate != RelationAnnot.NamePred)
-    Metrics.annotationPRF(annots, truth, r.imdb.site.topics.filter(t => pageFilter(t.pageId)),
-      r.imdb.kb, r.namePredOf, trainIds)
+    val in = r.inDomain(domain)
+    val annots = result.annotations.filter(a => in(a.pageId) && a.predicate != RelationAnnot.NamePred)
+    Metrics.annotationPRF(annots, r.imdb.site.truth.filter(t => in(t.pageId)),
+      r.imdb.site.topics.filter(t => in(t.pageId)), r.imdb.kb, r.namePredOf, r.trainIds.filter(in))
   }
 
   /** Table 7: topic identification accuracy per domain (train half). */
   def table7(r: Run, domain: String): Metrics.PRF = {
-    val pageFilter = (pid: String) => r.domainOf(pid) == domain
-    Metrics.topicPRF(
-      r.full.topics.filter(t => pageFilter(t.pageId)),
-      r.imdb.site.topics.filter(t => pageFilter(t.pageId)),
-      r.imdb.kb,
-      r.trainIds.filter(pageFilter))
+    val in = r.inDomain(domain)
+    Metrics.topicPRF(r.full.topics.filter(t => in(t.pageId)),
+      r.imdb.site.topics.filter(t => in(t.pageId)), r.imdb.kb, r.trainIds.filter(in))
   }
+
+  def renderTable2(r: Run): String =
+    TableFmt.render("Table 2: seed KB composition", Vector("Entity Type", "#Instances", "#Predicates"),
+      r.imdb.kb.triples.groupBy(_.subjectType).toVector.sortBy(_._1).map { case (t, ts) =>
+        Vector(t, ts.map(_.subjectId).distinct.size.toString, ts.map(_.predicate).distinct.size.toString)
+      })
+
+  def renderTable5(r: Run): String = renderTopicVsFull(r, "Table 5", "extraction", table5)
+
+  def renderTable6(r: Run): String = renderTopicVsFull(r, "Table 6", "annotation", table6)
+
+  def renderTable7(r: Run): String =
+    TableFmt.render("Table 7: topic identification", Vector("Domain", "P", "R", "F1"),
+      Domains.map(d => TableFmt.prfRow(Vector(d), table7(r, d))))
+
+  /** Per domain, CERES-Topic then CERES-Full per predicate with "ALL" last;
+    * zeros where a system has no score.
+    */
+  private def renderTopicVsFull(r: Run, table: String, what: String,
+      prfs: (Run, Ceres.Result, String) => Map[String, Metrics.PRF]): String =
+    Domains.map { dom =>
+      val (topic, full) = (prfs(r, r.topic, dom), prfs(r, r.full, dom))
+      val preds = (topic.keySet ++ full.keySet).toVector.sorted.filterNot(_ == "ALL") :+ "ALL"
+      def get(m: Map[String, Metrics.PRF], p: String) = m.getOrElse(p, Metrics.PRF(p, 0, 0, 0))
+      TableFmt.render(s"$table ($dom): $what",
+        Vector("Predicate", "Topic-P", "Topic-R", "Topic-F1", "Full-P", "Full-R", "Full-F1"),
+        preds.map(p => TableFmt.prfRow(TableFmt.prfRow(Vector(p), get(topic, p)), get(full, p))))
+    }.mkString("\n")
 }

@@ -6,7 +6,7 @@ import repro.baseline.{CeresBaseline, VertexPP}
 import repro.core.{Ceres, Extractor, Metrics}
 import repro.web.Verticals
 
-/** The SWDE experiment (§5.3): Tables 3 and 4.
+/** The SWDE experiment (§5.3): Tables 1, 3 and 4.
   *
   * For every vertical and site: split pages 50/50 into train (annotation +
   * learning) and eval halves, run the four systems of §5.2, and score the
@@ -30,16 +30,11 @@ object SwdeExperiment {
       nTrainPages: Int,
   )
 
-  def run(
-      pagesPerSite: Int = 120,
-      nSites: Int = 4,
-      seed: Long = 7,
-      systems: Vector[String] = Systems,
-  )(implicit spark: SparkSession): Vector[SiteRun] = {
+  def run(pagesPerSite: Int = 120)(implicit spark: SparkSession): Vector[SiteRun] = {
     val work = for {
-      vd <- Verticals.all(pagesPerSite, seed)
+      vd <- Verticals.all(pagesPerSite)
       site <- vd.sites
-      system <- systems
+      system <- Systems
     } yield (vd, site, system)
     Par.map(work) { case (vd, site, system) =>
       val kbPreds  = vd.kb.predicates + vd.namePred
@@ -108,12 +103,35 @@ object SwdeExperiment {
       .toVector
       .sortBy(t => (t._1, t._2))
 
+  /** Table 1: sites, pages and attributes of each vertical. */
+  def renderTable1(verticals: Vector[Verticals.VerticalData]): String =
+    TableFmt.render("Table 1: SWDE-lite dataset", Vector("Vertical", "#Sites", "#Pages", "Attributes"),
+      verticals.map(vd => Vector(vd.vertical, vd.sites.size.toString,
+        vd.sites.map(_.pages.size).sum.toString, vd.preds.mkString(", "))))
+
+  def renderTable3(runs: Vector[SiteRun]): String = {
+    val t3 = table3(runs).map { case (v, s, f) => (v, s) -> f }.toMap
+    val verticals = runs.map(_.vertical).distinct
+    TableFmt.render("Table 3: page-hit F1", "System" +: verticals,
+      Systems.map(sys => sys +: verticals.map(v => t3.get((v, sys)).map(TableFmt.f2).getOrElse("NA"))))
+  }
+
+  /** Table 4: Vertex++ and CERES-Full side by side, NA where one has no score. */
+  def renderTable4(runs: Vector[SiteRun]): String = {
+    def byKey(system: String) = table4(runs, system).map(t => (t._1, t._2) -> t._3).toMap
+    val (vpp, full) = (byKey("Vertex++"), byKey("CERES-Full"))
+    def cells(m: Option[Metrics.PRF]) = m.fold(Vector("NA", "NA", "NA"))(TableFmt.prfRow(Vector.empty, _))
+    TableFmt.render("Table 4: mention-level P/R/F1 (Vertex++ vs CERES-Full)",
+      Vector("Vertical", "Predicate", "V++ P", "V++ R", "V++ F1", "Full P", "Full R", "Full F1"),
+      (vpp.keySet ++ full.keySet).toVector.sorted.map(k =>
+        Vector(k._1, k._2) ++ cells(vpp.get(k)) ++ cells(full.get(k))))
+  }
+
   /** Fraction of train pages receiving at least one annotation (§5.3 text). */
-  def annotatedFraction(runs: Vector[SiteRun], system: String = "CERES-Full"): Map[String, Double] =
-    runs
-      .filter(r => r.system == system && r.annotatedPages >= 0)
-      .groupBy(_.vertical)
-      .view
-      .mapValues(rs => rs.map(_.annotatedPages).sum.toDouble / rs.map(_.nTrainPages).sum)
-      .toMap
+  def renderAnnotatedFraction(runs: Vector[SiteRun]): String =
+    "Annotated-page fraction (CERES-Full): " +
+      runs.filter(_.system == "CERES-Full").groupBy(_.vertical).toVector.sortBy(_._1)
+        .map { case (v, rs) =>
+          f"$v=${rs.map(_.annotatedPages).sum.toDouble / rs.map(_.nTrainPages).sum * 100}%.0f%%"
+        }.mkString(", ")
 }

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.core.Metrics
 
-/** Plain-text table rendering shared by jobs/ entrypoints and bench suites. */
+/** Plain-text table helpers for each paper table's one renderer (in its experiment). */
 object TableFmt {
 
   def render(title: String, header: Vector[String], rows: Vector[Vector[String]]): String = {

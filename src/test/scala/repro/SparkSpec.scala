@@ -23,8 +23,9 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      // Workloads are small; fewer shuffle partitions cut per-action
+      // scheduling overhead across the many per-site pipeline runs.
+      .config("spark.sql.shuffle.partitions", 16)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
