@@ -10,7 +10,6 @@ object RunImdb {
     implicit val spark: SparkSession = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("ceres-imdb")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
     val r = ImdbExperiment.run()

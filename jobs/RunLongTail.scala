@@ -10,7 +10,6 @@ object RunLongTail {
     implicit val spark: SparkSession = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("ceres-longtail")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
 

@@ -14,7 +14,6 @@ object RunSwde {
     implicit val spark: SparkSession = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("ceres-swde")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     val pagesPerSite = args.headOption.map(_.toInt).getOrElse(120)
 

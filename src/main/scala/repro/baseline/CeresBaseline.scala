@@ -22,7 +22,6 @@ import repro.kb.KnowledgeBase
 object CeresBaseline {
 
   private val Threshold  = 0.5
-  private val NegRatio   = 3
   private val SubjectCap = 40
   private val ObjectCap  = 80
   private val Seed       = 19L
@@ -38,8 +37,7 @@ object CeresBaseline {
   )(implicit spark: SparkSession): Vector[Extractor.Extraction] = {
     import spark.implicits._
     val kbB = spark.sparkContext.broadcast(kb)
-    val trainPages =
-      (if (trainIds.isEmpty) pages else pages.filter(p => trainIds.contains(p.pageId))).cache()
+    val trainPages = if (trainIds.isEmpty) pages else pages.filter(p => trainIds.contains(p.pageId))
 
     val freq  = FeatureGen.frequentStrings(trainPages)
     val freqB = spark.sparkContext.broadcast(freq)
@@ -65,7 +63,7 @@ object CeresBaseline {
         val texts = p.textNodes
         val negs =
           if (texts.size < 2) Vector.empty
-          else Vector.fill(NegRatio * positives.size) {
+          else Vector.fill(Trainer.NegRatio * positives.size) {
             val a = texts(rng.nextInt(texts.size))
             val b = texts(rng.nextInt(texts.size))
             Trainer.Example(Trainer.OtherLabel, pairFeatures(tree, a.id, b.id, fr))

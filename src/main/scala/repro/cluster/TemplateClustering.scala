@@ -22,6 +22,9 @@ import repro.dom.{PageDoc, XPaths}
   */
 object TemplateClustering {
 
+  /** Jaccard similarity at which a page joins a cluster's leader (§2.1). */
+  val Threshold = 0.45
+
   /** Driver-side clustering of (pageId, signature) pairs; returns pageId -> cluster. */
   def clusterSignatures(
       sigs: Vector[(String, Set[String])],
@@ -41,7 +44,7 @@ object TemplateClustering {
   }
 
   /** Assign template-cluster ids to every page of a (single-site) corpus. */
-  def assign(pages: Dataset[PageDoc], threshold: Double = 0.45)(implicit
+  def assign(pages: Dataset[PageDoc], threshold: Double = Threshold)(implicit
       spark: SparkSession): Dataset[PageDoc] = {
     import spark.implicits._
     // Signature = index-stripped path + the node's class, so two templates

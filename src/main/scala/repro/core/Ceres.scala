@@ -14,6 +14,10 @@ import repro.kb.KnowledgeBase
   * split; pass an empty set to train on everything, as in the CommonCrawl
   * run); extraction runs over every page, and callers slice the output into
   * train/eval halves for scoring.
+  *
+  * The clustered pages are collected once and each cluster's stages run
+  * over a `Dataset` built from its pages, so every Spark job is a single
+  * stage: no shuffle, no cache.
   */
 object Ceres {
 
@@ -21,18 +25,24 @@ object Ceres {
   case object Full      extends Mode // Algorithm 1 + Algorithm 2
   case object TopicOnly extends Mode // Algorithm 1, annotate all mentions
 
+  /** What callers set.  The other stage parameters are constants next to
+    * the stage that reads them.
+    */
   case class Config(
       mode: Mode = Full,
-      minAnnotations: Int = 3,
-      negRatio: Int = 3,
       threshold: Double = 0.5,
-      maxTopicPages: Int = 5,
-      templateThreshold: Double = 0.45,
-      freqMinFrac: Double = 0.2,
       /** Clusters with fewer annotated pages than this are skipped. */
       minAnnotatedPages: Int = 2,
-      seed: Long = 17,
-  )
+  ) {
+    // The stage constants under their old field names, read by
+    // perfbench's TracedCeres; they go when ROADMAP item B deletes it.
+    def templateThreshold: Double = TemplateClustering.Threshold
+    def maxTopicPages: Int        = TopicId.MaxTopicPages
+    def minAnnotations: Int       = RelationAnnot.MinAnnotations
+    def freqMinFrac: Double       = FeatureGen.MinFrac
+    def negRatio: Int             = Trainer.NegRatio
+    def seed: Long                = Trainer.Seed
+  }
 
   case class Result(
       topics: Vector[TopicId.PageTopic],       // pre-informativeness (Table 7 input)
@@ -50,40 +60,37 @@ object Ceres {
     import spark.implicits._
     val kbB = spark.sparkContext.broadcast(kb)
 
-    val clustered = TemplateClustering.assign(pages, cfg.templateThreshold).cache()
-    val clusters  = clustered.map(_.cluster).distinct().collect().sorted
+    // Pages of each cluster, in input order.
+    val byCluster = TemplateClustering.assign(pages).collect().toVector.groupBy(_.cluster)
 
     val allTopics   = Vector.newBuilder[TopicId.PageTopic]
     val allKept     = Vector.newBuilder[TopicId.PageTopic]
     val allAnnots   = Vector.newBuilder[RelationAnnot.Annotation]
     val allExtracts = Vector.newBuilder[Extractor.Extraction]
 
-    clusters.foreach { c =>
-      val sub      = clustered.filter(_.cluster == c).cache()
-      val trainSub = (if (trainIds.isEmpty) sub else sub.filter(p => trainIds.contains(p.pageId))).cache()
+    byCluster.toVector.sortBy(_._1).foreach { case (_, clusterPages) =>
+      val sub      = spark.createDataset(clusterPages)
+      val trainSub =
+        if (trainIds.isEmpty) sub else spark.createDataset(clusterPages.filter(p => trainIds(p.pageId)))
 
-      val topics = TopicId.identify(trainSub, kbB, cfg.maxTopicPages).collect().toVector
+      val topics = TopicId.identify(trainSub, kbB).collect().toVector
       allTopics ++= topics
 
       val (annots, kept) = cfg.mode match {
-        case Full      => RelationAnnot.annotateFull(trainSub, topics, kbB, cfg.minAnnotations)
-        case TopicOnly => RelationAnnot.annotateTopicOnly(trainSub, topics, kbB, cfg.minAnnotations)
+        case Full      => RelationAnnot.annotateFull(trainSub, topics, kbB)
+        case TopicOnly => RelationAnnot.annotateTopicOnly(trainSub, topics, kbB)
       }
       allKept ++= kept
       allAnnots ++= annots
 
       if (kept.size >= cfg.minAnnotatedPages) {
-        val freq  = FeatureGen.frequentStrings(trainSub, cfg.freqMinFrac)
-        val freqB = spark.sparkContext.broadcast(freq)
-        val examples = Trainer.buildExamples(trainSub, annots, freqB, cfg.negRatio, cfg.seed)
+        val freqB    = spark.sparkContext.broadcast(FeatureGen.frequentStrings(trainSub))
+        val examples = Trainer.buildExamples(trainSub, annots, freqB)
         val model    = Trainer.train(examples)
         val modelB   = spark.sparkContext.broadcast(model)
         allExtracts ++= Extractor.extract(sub, modelB, freqB, cfg.threshold).collect()
       }
-      trainSub.unpersist()
-      sub.unpersist()
     }
-    clustered.unpersist()
 
     Result(allTopics.result(), allKept.result(), allAnnots.result(), allExtracts.result())
   }

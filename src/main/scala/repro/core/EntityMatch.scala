@@ -9,12 +9,12 @@ import repro.kb.KnowledgeBase
 object EntityMatch {
 
   /** A text field whose normalised content is known to the KB. */
-  case class Mention(nodeId: Int, xpath: String, norm: String, raw: String)
+  case class Mention(nodeId: Int, xpath: String, norm: String)
 
   /** All KB-known mentions on the page. */
   def mentions(page: PageDoc, kb: KnowledgeBase): Vector[Mention] =
     page.textNodes.collect {
-      case n if n.norm.nonEmpty && kb.knownString(n.norm) => Mention(n.id, n.xpath, n.norm, n.text)
+      case n if n.norm.nonEmpty && kb.knownString(n.norm) => Mention(n.id, n.xpath, n.norm)
     }
 
   /** The pageSet of Algorithm 1: normalised KB-known strings on the page. */

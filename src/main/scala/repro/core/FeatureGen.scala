@@ -22,29 +22,31 @@ object FeatureGen {
 
   val SiblingWidth = 5
 
+  /** Share of a site's pages a string must appear on to be a text feature
+    * (§4.2).
+    */
+  val MinFrac = 0.2
+
   /** Site-frequent normalised strings: present on at least `minFrac` of
-    * pages (labels, boilerplate, fixed value lists).  A DataFrame
-    * aggregation over the corpus; capped to the most frequent `cap`.
+    * pages (labels, boilerplate, fixed value lists), capped to the most
+    * frequent `cap`, ties broken by the string.  One job collects each
+    * page's distinct strings; the driver counts them.
     */
   def frequentStrings(
       pages: Dataset[PageDoc],
-      minFrac: Double = 0.2,
+      minFrac: Double = MinFrac,
       cap: Int = 150,
   )(implicit spark: SparkSession): Set[String] = {
     import spark.implicits._
-    val nPages = pages.count().toDouble
-    if (nPages == 0) return Set.empty
-    pages
-      .flatMap(p => p.textNodes.map(_.norm).distinct)
-      .toDF("s")
-      .groupBy("s")
-      .count()
-      .filter($"count" >= minFrac * nPages)
-      .orderBy($"count".desc, $"s")
-      .limit(cap)
-      .select("s")
-      .as[String]
-      .collect()
+    val perPage  = pages.map(_.textNodes.map(_.norm).distinct).collect()
+    val minCount = minFrac * perPage.length
+    perPage.flatten
+      .groupMapReduce(identity)(_ => 1)(_ + _)
+      .filter(_._2 >= minCount)
+      .toVector
+      .sortBy { case (s, n) => (-n, s) }
+      .take(cap)
+      .map(_._1)
       .toSet
   }
 

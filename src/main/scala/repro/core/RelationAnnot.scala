@@ -33,6 +33,11 @@ object RelationAnnot {
     */
   val NamePred = "__name__"
 
+  /** Informativeness filter: pages with fewer relation annotations are
+    * dropped (§3.1.2 Step 3).
+    */
+  val MinAnnotations = 3
+
   case class Annotation(
       site: String,
       pageId: String,
@@ -137,7 +142,7 @@ object RelationAnnot {
       pages: Dataset[PageDoc],
       topics: Vector[TopicId.PageTopic],
       kbB: Broadcast[KnowledgeBase],
-      minAnnotations: Int = 3,
+      minAnnotations: Int = MinAnnotations,
   )(implicit spark: SparkSession): (Vector[Annotation], Vector[TopicId.PageTopic]) = {
     val cands = collectCands(pages, topics.map(t => t.pageId -> t).toMap, kbB).collect().toVector
 
@@ -181,7 +186,7 @@ object RelationAnnot {
       pages: Dataset[PageDoc],
       topics: Vector[TopicId.PageTopic],
       kbB: Broadcast[KnowledgeBase],
-      minAnnotations: Int = 3,
+      minAnnotations: Int = MinAnnotations,
   )(implicit spark: SparkSession): (Vector[Annotation], Vector[TopicId.PageTopic]) = {
     val cands = collectCands(pages, topics.map(t => t.pageId -> t).toMap, kbB).collect().toVector
     val annots = cands.flatMap { c =>

@@ -112,13 +112,18 @@ object TopicId {
       .sortBy { case (path, n) => (-n, path) }
       .take(topPaths)
 
+  /** Uniqueness filter: an entity that is the best candidate of this many
+    * pages names none of them (§3.1.2).
+    */
+  val MaxTopicPages = 5
+
   /** Ranked paths the final pass tries, best first. */
   private val TopPaths = 100
 
   def identify(
       pages: Dataset[PageDoc],
       kbB: Broadcast[KnowledgeBase],
-      maxTopicPages: Int = 5,
+      maxTopicPages: Int = MaxTopicPages,
   )(implicit spark: SparkSession): Dataset[PageTopic] = {
     import spark.implicits._
 

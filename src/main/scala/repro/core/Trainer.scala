@@ -32,6 +32,12 @@ object Trainer {
 
   val OtherLabel = "OTHER"
 
+  /** Negatives sampled per positive (§4.1, r = 3). */
+  val NegRatio = 3
+
+  /** Base seed of the per-page negative sampling. */
+  val Seed = 17L
+
   case class Example(label: String, features: Seq[String])
 
   /** Serializable fitted model: softmax scorer over hashed features.
@@ -74,8 +80,8 @@ object Trainer {
       pages: Dataset[PageDoc],
       annotations: Vector[RelationAnnot.Annotation],
       frequentB: Broadcast[Set[String]],
-      negRatio: Int = 3,
-      seed: Long = 17,
+      negRatio: Int = NegRatio,
+      seed: Long = Seed,
   )(implicit spark: SparkSession): Dataset[Example] = {
     import spark.implicits._
     val byPage = annotations.groupBy(_.pageId)

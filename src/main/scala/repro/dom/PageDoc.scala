@@ -15,7 +15,6 @@ import repro.util.Normalize
 case class NodeRow(
     id: Int,
     parent: Int,
-    depth: Int,
     tag: String,
     attrs: Map[String, String],
     text: String,
@@ -44,18 +43,18 @@ object PageDoc {
   def fromTree(site: String, pageId: String, root: DomNode): PageDoc = {
     val rows = Vector.newBuilder[NodeRow]
     var nextId = 0
-    def walk(n: DomNode, parent: Int, depth: Int, path: String): Unit = {
+    def walk(n: DomNode, parent: Int, path: String): Unit = {
       val id = nextId
       nextId += 1
-      rows += NodeRow(id, parent, depth, n.tag, n.attrs, n.text, path, Normalize(n.text))
+      rows += NodeRow(id, parent, n.tag, n.attrs, n.text, path, Normalize(n.text))
       val tagCount = collection.mutable.Map.empty[String, Int]
       n.children.foreach { c =>
         val k = tagCount.getOrElse(c.tag, 0) + 1
         tagCount(c.tag) = k
-        walk(c, id, depth + 1, s"$path/${c.tag}[$k]")
+        walk(c, id, s"$path/${c.tag}[$k]")
       }
     }
-    walk(root, -1, 0, s"/${root.tag}[1]")
+    walk(root, -1, s"/${root.tag}[1]")
     PageDoc(site, pageId, cluster = -1, rows.result())
   }
 }

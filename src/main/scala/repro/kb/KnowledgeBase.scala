@@ -59,8 +59,6 @@ final class KnowledgeBase(
   /** Is the normalised string known to the KB at all (entity name or value)? */
   def knownString(norm: String): Boolean =
     entitiesByName.contains(norm) || objectCounts.contains(norm)
-
-  def size: Int = triples.size
 }
 
 object KnowledgeBase {

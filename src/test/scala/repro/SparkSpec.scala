@@ -8,9 +8,7 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit).
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -23,8 +21,9 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      // Workloads are small; fewer shuffle partitions cut per-action
-      // scheduling overhead across the many per-site pipeline runs.
+      // The pipeline runs no shuffle and no join, so these two settings
+      // reach only the tests' own DataFrames; SparkStateSpec checks that
+      // pipeline output is the same at 1, 16 and 200 shuffle partitions.
       .config("spark.sql.shuffle.partitions", 16)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

@@ -28,7 +28,7 @@ class EntityMatchSpec extends AnyFunSuite {
     assert(EntityMatch.mentions(page, kb).count(_.norm == "ann smith") == 2)
   }
   test("non-KB strings are not mentions") {
-    assert(!EntityMatch.mentions(page, kb).exists(_.raw == "Unrelated Text"))
+    assert(!EntityMatch.mentions(page, kb).exists(_.norm == "unrelated text"))
   }
   test("pageStrings is the normalised set") {
     assert(EntityMatch.pageStrings(page, kb) == Set("crimson harbor", "ann smith", "drama"))

@@ -37,10 +37,6 @@ class PageDocSpec extends AnyFunSuite {
   test("attrs preserved") {
     assert(doc.nodes.find(_.xpath == "/html[1]/body[1]/div[1]").get.attrs == Map("class" -> "a"))
   }
-  test("depth is tree depth") {
-    assert(doc.nodes.find(_.text == "x").get.depth == 3)
-    assert(doc.nodes.head.depth == 0)
-  }
   test("cluster initialised to -1") { assert(doc.cluster == -1) }
   test("parent pointers are consistent") {
     doc.nodes.filter(_.parent >= 0).foreach { n =>

@@ -15,7 +15,6 @@ class KnowledgeBaseSpec extends AnyFunSuite {
   )
   private val kb = KnowledgeBase(triples, freqCutoff = 0.2)
 
-  test("size") { assert(kb.size == 7) }
   test("nameOf") { assert(kb.nameOf("f1") == "Do the Right Thing") }
   test("typeOf") { assert(kb.typeOf("e1") == "TVEpisode") }
   test("entitiesByName finds by normalised name") {

@@ -69,7 +69,7 @@ class LongTailSitesSpec extends AnyFunSuite {
   }
   test("deterministic build") {
     val again = LongTailSites.build(scale = 0.15, seed = 66)
-    assert(again.kb.size == lt.kb.size)
+    assert(again.kb.triples.size == lt.kb.triples.size)
     assert(again.sites.map(_.rendered.pages.size) == lt.sites.map(_.rendered.pages.size))
   }
 }
